@@ -71,28 +71,35 @@ RlnVerifier::RlnVerifier(zksnark::VerifyingKey verifying_key,
 
 bool RlnVerifier::verify(std::span<const std::uint8_t> payload,
                          const RlnSignal& signal) const {
-  if (signal.message_index >= messages_per_epoch_) return false;
-  zksnark::RlnPublicInputs pub;
-  pub.root = signal.root;
-  pub.epoch =
-      external_nullifier(signal.epoch, signal.message_index, messages_per_epoch_);
-  pub.x = zksnark::RlnCircuit::message_to_x(payload);
-  pub.y = signal.y;
-  pub.nullifier = signal.nullifier;
-  return zksnark::MockGroth16::verify(verifying_key_, signal.proof, pub);
+  return verify(zksnark::RlnCircuit::message_to_x(payload), signal);
 }
 
 bool RlnVerifier::verify_prepared(std::span<const std::uint8_t> payload,
                                   const RlnSignal& signal) const {
+  return verify_prepared(zksnark::RlnCircuit::message_to_x(payload), signal);
+}
+
+bool RlnVerifier::verify(const Fr& x, const RlnSignal& signal) const {
   if (signal.message_index >= messages_per_epoch_) return false;
+  return zksnark::MockGroth16::verify(verifying_key_, signal.proof,
+                                      public_inputs(x, signal));
+}
+
+bool RlnVerifier::verify_prepared(const Fr& x, const RlnSignal& signal) const {
+  if (signal.message_index >= messages_per_epoch_) return false;
+  return prepared_.verify(signal.proof, public_inputs(x, signal));
+}
+
+zksnark::RlnPublicInputs RlnVerifier::public_inputs(const Fr& x,
+                                                    const RlnSignal& signal) const {
   zksnark::RlnPublicInputs pub;
   pub.root = signal.root;
   pub.epoch =
       external_nullifier(signal.epoch, signal.message_index, messages_per_epoch_);
-  pub.x = zksnark::RlnCircuit::message_to_x(payload);
+  pub.x = x;
   pub.y = signal.y;
   pub.nullifier = signal.nullifier;
-  return prepared_.verify(signal.proof, pub);
+  return pub;
 }
 
 }  // namespace wakurln::rln

@@ -57,7 +57,16 @@ class RlnVerifier {
   bool verify_prepared(std::span<const std::uint8_t> payload,
                        const RlnSignal& signal) const;
 
+  /// The same two checks for a caller that already holds
+  /// x = RlnCircuit::message_to_x(payload), so the payload is hashed once
+  /// per message rather than once per check.
+  bool verify(const field::Fr& x, const RlnSignal& signal) const;
+  bool verify_prepared(const field::Fr& x, const RlnSignal& signal) const;
+
  private:
+  zksnark::RlnPublicInputs public_inputs(const field::Fr& x,
+                                         const RlnSignal& signal) const;
+
   zksnark::VerifyingKey verifying_key_;
   zksnark::PreparedVerifier prepared_;
   std::uint64_t messages_per_epoch_;

@@ -29,10 +29,12 @@ SimHarness::SimHarness(HarnessConfig config)
   const auto& sync = sync_;
 
   // World-shared immutable state, one copy regardless of node count: the
-  // validator context (CRS + verifier + nullifier record store) and the
+  // validator context (CRS + verifier + nullifier record store, plus a
+  // verdict memo with one slot per scheduler lane) and the
   // router's parameter block + interned topic table. Each relay below
   // holds shared_ptr handles into these instead of private copies.
-  ctx_ = RlnValidatorContext::make(crs_, config_.rln.messages_per_epoch);
+  ctx_ = RlnValidatorContext::make(crs_, config_.rln.messages_per_epoch,
+                                   scheduler_.lane_count());
   gossip_params_ = std::make_shared<const gossipsub::GossipSubParams>(config_.gossip);
   topic_table_ = std::make_shared<gossipsub::TopicTable>();
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "hash/poseidon.h"
 #include "obs/tracer.h"
 #include "util/serde.h"
 
@@ -10,11 +9,64 @@ namespace wakurln::waku {
 
 using gossipsub::Validation;
 
+std::optional<VerdictMemo::Verdict> VerdictMemo::find(std::size_t lane,
+                                                      const gossipsub::MessageId& id) {
+  Lane& slot = lanes_[lane];
+  if (const auto it = slot.verdicts.find(id); it != slot.verdicts.end()) {
+    ++slot.hits;
+    return it->second;
+  }
+  ++slot.misses;
+  return std::nullopt;
+}
+
+void VerdictMemo::insert(std::size_t lane, const gossipsub::MessageId& id,
+                         const Verdict& verdict, std::uint64_t epoch,
+                         std::uint64_t keep_epochs) {
+  Lane& slot = lanes_[lane];
+  while (!slot.order.empty() && slot.order.front().first + keep_epochs < epoch) {
+    slot.verdicts.erase(slot.order.front().second);
+    slot.order.pop_front();
+  }
+  if (slot.verdicts.emplace(id, verdict).second) slot.order.emplace_back(epoch, id);
+}
+
+std::uint64_t VerdictMemo::hits() const {
+  std::uint64_t total = 0;
+  for (const Lane& slot : lanes_) total += slot.hits;
+  return total;
+}
+
+std::uint64_t VerdictMemo::misses() const {
+  std::uint64_t total = 0;
+  for (const Lane& slot : lanes_) total += slot.misses;
+  return total;
+}
+
+std::size_t VerdictMemo::size() const {
+  std::size_t total = 0;
+  for (const Lane& slot : lanes_) total += slot.verdicts.size();
+  return total;
+}
+
 std::shared_ptr<const RlnValidatorContext> RlnValidatorContext::make(
-    zksnark::KeyPair crs, std::uint64_t messages_per_epoch) {
+    zksnark::KeyPair crs, std::uint64_t messages_per_epoch, std::size_t lanes) {
   rln::RlnVerifier verifier(crs.vk, messages_per_epoch);
-  return std::make_shared<const RlnValidatorContext>(RlnValidatorContext{
-      std::move(crs), std::move(verifier), std::make_shared<rln::NullifierStore>()});
+  return std::make_shared<const RlnValidatorContext>(
+      RlnValidatorContext{std::move(crs), std::move(verifier),
+                          std::make_shared<rln::NullifierStore>(), VerdictMemo(lanes)});
+}
+
+VerdictMemo::Verdict RlnValidatorContext::verdict(
+    std::size_t lane, const gossipsub::MessageId& id,
+    std::span<const std::uint8_t> payload, const rln::RlnSignal& signal, bool prepared,
+    std::uint64_t epoch, std::uint64_t keep_epochs) const {
+  if (auto hit = memo.find(lane, id)) return *hit;
+  VerdictMemo::Verdict v;
+  v.x = zksnark::RlnCircuit::message_to_x(payload);
+  v.proof_ok = prepared ? verifier.verify_prepared(v.x, signal) : verifier.verify(v.x, signal);
+  memo.insert(lane, id, v, epoch, keep_epochs);
+  return v;
 }
 
 WakuRlnRelay::WakuRlnRelay(WakuRelay& relay, eth::Chain& chain,
@@ -34,13 +86,20 @@ WakuRlnRelay::WakuRlnRelay(WakuRelay& relay, eth::Chain& chain,
                        : std::make_shared<GroupSync>(chain, config.tree_depth,
                                                      config.batch_crypto)),
       ctx_(ctx ? std::move(ctx)
-               : RlnValidatorContext::make(std::move(crs), config.messages_per_epoch)),
-      nullifier_map_(ctx_->store) {
+               : RlnValidatorContext::make(std::move(crs), config.messages_per_epoch,
+                                           scheduler().lane_count())),
+      nullifier_map_(ctx_->store),
+      keep_epochs_(std::max<std::uint64_t>(epochs_.threshold(), 1) *
+                   std::max<std::uint64_t>(config.nullifier_retention_factor, 1)) {
   if (ctx_->crs.pk.tree_depth != config.tree_depth) {
     throw std::invalid_argument("WakuRlnRelay: CRS depth != configured tree depth");
   }
   if (sync_->group().tree_depth() != config.tree_depth) {
     throw std::invalid_argument("WakuRlnRelay: group sync depth != configured depth");
+  }
+  if (ctx_->memo.lane_count() < scheduler().lane_count()) {
+    throw std::invalid_argument(
+        "WakuRlnRelay: validator context has fewer memo lanes than the scheduler");
   }
   if (config.acceptable_root_window > GroupSync::kMaxRootHistory) {
     throw std::invalid_argument(
@@ -61,11 +120,11 @@ WakuRlnRelay::WakuRlnRelay(WakuRelay& relay, eth::Chain& chain,
 }
 
 std::uint64_t WakuRlnRelay::now_seconds() const {
-  return relay_.router().network().scheduler().now() / sim::kUsPerSecond;
+  return scheduler().now() / sim::kUsPerSecond;
 }
 
 sim::TimeUs WakuRlnRelay::now_us() const {
-  return relay_.router().network().scheduler().now();
+  return scheduler().now();
 }
 
 void WakuRlnRelay::trace_drop(const char* reason) {
@@ -155,52 +214,33 @@ WakuRlnRelay::PublishOutcome WakuRlnRelay::do_publish(const gossipsub::TopicId& 
   return PublishOutcome::kPublished;
 }
 
-bool WakuRlnRelay::verify_proof(std::span<const std::uint8_t> payload,
-                                const rln::RlnSignal& signal) {
-  // Batched mode verifies through the prepared (allocation-free) path —
-  // same verdict bit-for-bit — and counts the proof into the modeled
-  // amortisation queue. Scalar mode is the executable reference.
-  if (batch_verifier_) {
-    const bool ok = ctx_->verifier.verify_prepared(payload, signal);
-    batch_verifier_->enqueue();
-    return ok;
-  }
-  return ctx_->verifier.verify(payload, signal);
-}
-
-bool WakuRlnRelay::verify_proof_cached(const gossipsub::MessageId& id,
-                                       std::span<const std::uint8_t> payload,
-                                       const rln::RlnSignal& signal) {
-  if (config_.proof_cache_entries == 0) {
-    ++stats_.proof_verifications;
-    if (tracer_ != nullptr) {
-      tracer_->begin("verify", now_us(), trace_track_, obs::short_id(id));
-      const bool ok = verify_proof(payload, signal);
-      tracer_->end(now_us(), trace_track_);
-      return ok;
+bool WakuRlnRelay::verify_proof_cached(const gossipsub::MessageId& id, bool proof_ok) {
+  const bool cache = config_.proof_cache_entries != 0;
+  if (cache) {
+    if (const auto it = proof_cache_.find(id); it != proof_cache_.end()) {
+      ++stats_.proof_cache_hits;
+      if (tracer_ != nullptr) {
+        tracer_->instant("cache_hit", now_us(), trace_track_, obs::short_id(id));
+      }
+      return it->second;
     }
-    return verify_proof(payload, signal);
-  }
-  if (const auto it = proof_cache_.find(id); it != proof_cache_.end()) {
-    ++stats_.proof_cache_hits;
-    if (tracer_ != nullptr) {
-      tracer_->instant("cache_hit", now_us(), trace_track_, obs::short_id(id));
-    }
-    return it->second;
   }
   ++stats_.proof_verifications;
   if (tracer_ != nullptr) {
     tracer_->begin("verify", now_us(), trace_track_, obs::short_id(id));
   }
-  const bool ok = verify_proof(payload, signal);
+  // Batched mode counts the proof into the modeled amortisation queue.
+  if (batch_verifier_) batch_verifier_->enqueue();
   if (tracer_ != nullptr) tracer_->end(now_us(), trace_track_);
-  if (proof_cache_order_.size() >= config_.proof_cache_entries) {
-    proof_cache_.erase(proof_cache_order_.front());
-    proof_cache_order_.pop_front();
+  if (cache) {
+    if (proof_cache_order_.size() >= config_.proof_cache_entries) {
+      proof_cache_.erase(proof_cache_order_.front());
+      proof_cache_order_.pop_front();
+    }
+    proof_cache_.emplace(id, proof_ok);
+    proof_cache_order_.push_back(id);
   }
-  proof_cache_.emplace(id, ok);
-  proof_cache_order_.push_back(id);
-  return ok;
+  return proof_ok;
 }
 
 gossipsub::Validation WakuRlnRelay::validate(sim::NodeId /*source*/,
@@ -238,8 +278,12 @@ gossipsub::Validation WakuRlnRelay::validate(sim::NodeId /*source*/,
   }
 
   // 4. zkSNARK verification — the content-addressed message id keys a
-  // verdict cache, so a re-delivered message costs a map lookup.
-  if (!verify_proof_cached(msg.id, payload, signal)) {
+  // verdict cache, so a re-delivered message costs a map lookup. The
+  // host computes the verdict (and x) once per lane via the world memo.
+  const VerdictMemo::Verdict verdict =
+      ctx_->verdict(scheduler().current_lane(), msg.id, payload.span(), signal,
+                    config_.batch_crypto, current_epoch(), keep_epochs_);
+  if (!verify_proof_cached(msg.id, verdict.proof_ok)) {
     ++stats_.invalid_proof;
     trace_drop("proof");
     return Validation::kReject;
@@ -247,8 +291,7 @@ gossipsub::Validation WakuRlnRelay::validate(sim::NodeId /*source*/,
 
   // 5. Nullifier map: double-signal detection.
   const auto check =
-      nullifier_map_.observe(signal.epoch, signal.nullifier,
-                             zksnark::RlnCircuit::message_to_x(payload), signal.y);
+      nullifier_map_.observe(signal.epoch, signal.nullifier, verdict.x, signal.y);
   switch (check.outcome) {
     case rln::NullifierMap::Outcome::kDuplicateMessage:
       ++stats_.duplicates;
@@ -280,9 +323,7 @@ void WakuRlnRelay::on_chain_event(const eth::ContractEvent& event) {
 }
 
 void WakuRlnRelay::submit_slash(const field::Fr& sk) {
-  const field::Fr pk = hash::poseidon_hash1(sk);
-  if (slash_submitted_[pk]) return;  // one slash tx per offender
-  slash_submitted_[pk] = true;
+  if (!slash_submitted_.insert(sk).second) return;  // one slash tx per offender
   ++stats_.slashes_submitted;
   // Detection runs on this node's shard lane, but the mempool is world
   // state: defer the transaction to the next window barrier. Deferred
@@ -290,7 +331,7 @@ void WakuRlnRelay::submit_slash(const field::Fr& sk) {
   // mempool sequence is identical at every thread count. The submission
   // timestamp is captured here, at detection time.
   const std::uint64_t at = now_seconds();
-  relay_.router().network().scheduler().run_deferred([this, sk, at] {
+  scheduler().run_deferred([this, sk, at] {
     chain_.submit(
         account_, 0, eth::MembershipContract::kSlashCalldataBytes,
         [this, sk](eth::TxContext& ctx) { contract_.slash(ctx, sk); }, at);
@@ -314,18 +355,15 @@ void WakuRlnRelay::schedule_nullifier_gc() {
   // message still inside the Thr acceptance window has its records. A
   // periodic timer holds the one callback for the node's lifetime — no
   // per-epoch lambda re-capture.
-  const std::uint64_t keep_epochs =
-      std::max<std::uint64_t>(epochs_.threshold(), 1) *
-      std::max<std::uint64_t>(config_.nullifier_retention_factor, 1);
   const sim::TimeUs period_us = config_.epoch_period_seconds * sim::kUsPerSecond;
   // Owned by this node's shard lane: the prune touches only this node's
   // nullifier map (the shared store handles its own locking), so GC of
   // different partitions runs in parallel.
-  gc_timer_ = relay_.router().network().scheduler().schedule_periodic_for(
-      relay_.router().id(), period_us, period_us, [this, keep_epochs] {
+  gc_timer_ = scheduler().schedule_periodic_for(
+      relay_.router().id(), period_us, period_us, [this] {
         const std::uint64_t epoch = current_epoch();
-        if (epoch > keep_epochs) {
-          nullifier_map_.prune_before(epoch - keep_epochs);
+        if (epoch > keep_epochs_) {
+          nullifier_map_.prune_before(epoch - keep_epochs_);
         }
         // Epoch boundary: drain whatever the watermark left queued.
         if (batch_verifier_) {

@@ -14,6 +14,14 @@
 //                           message-id-keyed proof-result cache so IWANT
 //                           re-deliveries and gossip duplicates skip the
 //                           repeat zkSNARK verification
+//   * verdict memo        — a host cache, one slot per scheduler lane,
+//                           outside the model and the memory ledger (its
+//                           occupancy depends on the thread count): the
+//                           world computes each message's proof verdict
+//                           and x = H(payload) once per lane. It is
+//                           separate from the per-node modeled proof
+//                           cache above; every relay still runs every
+//                           check and keeps its own counts.
 //   * slashing            — reconstructed sk submitted to the contract;
 //                           the slasher earns the reward share
 
@@ -21,6 +29,9 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <unordered_map>
+#include <unordered_set>
+#include <vector>
 
 #include "eth/membership_contract.h"
 #include "rln/epoch.h"
@@ -38,24 +49,86 @@ class Tracer;
 
 namespace wakurln::waku {
 
-/// Immutable validation state every pure relay of a world shares: the CRS,
-/// one verifier built from it, and the world's nullifier record store.
-/// The old design gave each node a private copy of all three; one context
-/// per world is what lets a 250k-node harness hold a single CRS and a
-/// single deduplicated record arena. A relay constructed without a
-/// context builds a private one from its own CRS copy.
+/// Host-side memo of the pure part of RLN validation: for each message id,
+/// the proof verdict and x = RlnCircuit::message_to_x(payload). The id is
+/// SHA-256(topic || data) of an immutable message, so an equal id means
+/// equal bytes, and the verdict depends only on those bytes and the
+/// world's CRS and rate. One slot per scheduler lane: a lane reads and
+/// writes only its own slot, so no locks are needed. Each slot drops
+/// entries older than the caller's retention window when it inserts.
+///
+/// Not part of the model: relays still count, trace and queue every
+/// verification through their own proof cache, and the hit/miss counters
+/// here appear in no report.
+class VerdictMemo {
+ public:
+  struct Verdict {
+    bool proof_ok = false;
+    field::Fr x;
+  };
+
+  explicit VerdictMemo(std::size_t lanes) : lanes_(lanes) {}
+
+  /// The lane's memoised verdict for `id`, if any (counts a hit or miss).
+  std::optional<Verdict> find(std::size_t lane, const gossipsub::MessageId& id);
+  /// Records `verdict` for `id` at `epoch`, first dropping the lane's
+  /// entries recorded before `epoch - keep_epochs`.
+  void insert(std::size_t lane, const gossipsub::MessageId& id, const Verdict& verdict,
+              std::uint64_t epoch, std::uint64_t keep_epochs);
+
+  std::size_t lane_count() const { return lanes_.size(); }
+  /// Read these only while no lane executes (e.g. between runs).
+  std::uint64_t hits() const;
+  std::uint64_t misses() const;
+  std::size_t size() const;
+
+ private:
+  /// Cache-line aligned: lanes on different threads never share a line.
+  struct alignas(64) Lane {
+    std::unordered_map<gossipsub::MessageId, Verdict, gossipsub::MessageIdHash> verdicts;
+    /// (insert epoch, id) in insertion order; epochs never decrease
+    /// because a lane executes its events in time order.
+    std::deque<std::pair<std::uint64_t, gossipsub::MessageId>> order;
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+  };
+  std::vector<Lane> lanes_;
+};
+
+/// Validation state every pure relay of a world shares: the CRS, one
+/// verifier built from it, the world's nullifier record store and the
+/// host-side verdict memo. The old design gave each node a private copy
+/// of the first three; one context per world is what lets a 250k-node
+/// harness hold a single CRS and a single deduplicated record arena. A
+/// relay constructed without a context builds a private one from its own
+/// CRS copy, with a memo sized for its own scheduler.
 struct RlnValidatorContext {
   zksnark::KeyPair crs;
   rln::RlnVerifier verifier;
   std::shared_ptr<rln::NullifierStore> store;
+  /// Host cache (see VerdictMemo); mutable because filling it changes no
+  /// observable state of the context.
+  mutable VerdictMemo memo;
 
+  /// `lanes` is the world scheduler's lane_count().
   static std::shared_ptr<const RlnValidatorContext> make(
-      zksnark::KeyPair crs, std::uint64_t messages_per_epoch);
+      zksnark::KeyPair crs, std::uint64_t messages_per_epoch, std::size_t lanes);
+
+  /// The proof verdict and x of message `id` (decoded as `payload` and
+  /// `signal`) from `lane`'s memo slot. On a miss it hashes x once,
+  /// verifies through the prepared path (`prepared`) or the scalar
+  /// reference (verdicts identical), and records the result at `epoch`,
+  /// dropping the slot's entries older than `keep_epochs`.
+  VerdictMemo::Verdict verdict(std::size_t lane, const gossipsub::MessageId& id,
+                               std::span<const std::uint8_t> payload,
+                               const rln::RlnSignal& signal, bool prepared,
+                               std::uint64_t epoch, std::uint64_t keep_epochs) const;
 
   /// Modeled resident bytes of the shared state (the record store
-  /// dominates) — counted once per world by the harness.
+  /// dominates) — counted once per world by the harness. The memo is a
+  /// host cache, not modeled state, so its bytes are left out.
   std::size_t memory_bytes() const {
-    return sizeof(RlnValidatorContext) + store->memory_bytes();
+    return sizeof(RlnValidatorContext) - sizeof(VerdictMemo) + store->memory_bytes();
   }
 };
 
@@ -189,6 +262,7 @@ class WakuRlnRelay {
       const util::SharedBytes& data);
 
  private:
+  sim::Scheduler& scheduler() const { return relay_.router().network().scheduler(); }
   std::uint64_t now_seconds() const;
   sim::TimeUs now_us() const;
   /// Records a validation-drop instant ("drop", args.msg = reason).
@@ -196,13 +270,10 @@ class WakuRlnRelay {
   PublishOutcome do_publish(const gossipsub::TopicId& topic,
                             const util::Bytes& payload, bool enforce_rate_limit);
   gossipsub::Validation validate(sim::NodeId source, const gossipsub::GsMessage& msg);
-  /// One zkSNARK verification: prepared path + modeled queue in batched
-  /// mode, the scalar reference verifier otherwise. Verdicts identical.
-  bool verify_proof(std::span<const std::uint8_t> payload,
-                    const rln::RlnSignal& signal);
-  bool verify_proof_cached(const gossipsub::MessageId& id,
-                           std::span<const std::uint8_t> payload,
-                           const rln::RlnSignal& signal);
+  /// This node's modeled verification of a proof whose verdict is
+  /// `proof_ok`: proof-cache lookup, verification counts, trace span and
+  /// the modeled batch queue.
+  bool verify_proof_cached(const gossipsub::MessageId& id, bool proof_ok);
   void on_chain_event(const eth::ContractEvent& event);
   void submit_slash(const field::Fr& sk);
   bool root_acceptable(const field::Fr& root) const;
@@ -232,7 +303,11 @@ class WakuRlnRelay {
   /// Absolute index the shared distinct-root sequence had when this relay
   /// was constructed; roots older than this were never in our window.
   std::uint64_t root_floor_ = 0;
-  std::unordered_map<field::Fr, bool, field::FrHash> slash_submitted_;
+  /// Nullifier records and verdict-memo entries are kept this many epochs.
+  std::uint64_t keep_epochs_ = 1;
+  /// Recovered secret keys already slashed: one slash tx per offender
+  /// (pk = H(sk), so keying by sk needs no Poseidon call).
+  std::unordered_set<field::Fr, field::FrHash> slash_submitted_;
   /// Proof verdicts by message id, FIFO-bounded at proof_cache_entries.
   std::unordered_map<gossipsub::MessageId, bool, gossipsub::MessageIdHash> proof_cache_;
   std::deque<gossipsub::MessageId> proof_cache_order_;

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 
 #include "hash/poseidon.h"
+#include "scenario/runner.h"
+#include "scenario/scenarios.h"
 #include "sim/topology.h"
 #include "waku/harness.h"
 #include "waku/relay.h"
@@ -652,6 +655,232 @@ TEST(WakuRlnRelayTest, SharedGroupSyncMatchesPrivateViews) {
   EXPECT_EQ(world.node(0).group().member_count(), 3u);
   EXPECT_EQ(world.node(0).group().root(), world.node(2).group().root());
   EXPECT_EQ(&world.node(0).group(), &world.node(1).group());  // one tree
+}
+
+// ---------------------------------------------------------------------------
+// World verdict memo: a host cache of the proof verdict and x per message
+// id, one slot per scheduler lane, invisible to the model.
+
+TEST(VerdictMemoTest, VerdictMatchesDirectVerifierForValidAndTamperedEnvelopes) {
+  TestNet tn(2);
+  tn.register_all();
+  WakuRlnRelay& sender = *tn.nodes[0];
+  const RlnValidatorContext& ctx = *sender.validator_context();
+  ASSERT_GE(ctx.memo.lane_count(), 2u);
+  const std::uint64_t epoch = sender.current_epoch();
+  const Bytes payload = util::to_bytes("memo me");
+
+  rln::RlnProver prover(tn.crs.pk, sender.identity());
+  const auto index = sender.group().index_of(sender.identity().pk);
+  ASSERT_TRUE(index.has_value());
+  Rng prng(21);
+  const auto valid = prover.create_signal(payload, epoch, sender.group(), *index, prng);
+  ASSERT_TRUE(valid.has_value());
+  rln::RlnSignal bad_proof = *valid;
+  bad_proof.proof.bytes[40] ^= 0xff;
+  rln::RlnSignal rewritten_root = *valid;
+  rewritten_root.root = field::Fr::random(prng);
+  // Proved against a group no relay has seen: the proof itself verifies
+  // (the root is a public input); rejecting the root is each relay's own
+  // window check, which runs before the memo is consulted.
+  Rng orng(22);
+  const rln::Identity outsider = rln::Identity::generate(orng);
+  rln::RlnGroup fake_group(TestNet::rln_config().tree_depth);
+  fake_group.add_member(outsider.pk);
+  const auto foreign_root =
+      rln::RlnProver(tn.crs.pk, outsider).create_signal(payload, epoch, fake_group, 0, orng);
+  ASSERT_TRUE(foreign_root.has_value());
+
+  struct Case {
+    const char* name;
+    rln::RlnSignal signal;
+    Bytes payload;
+    bool expect_ok;
+  };
+  const std::vector<Case> cases = {
+      {"valid", *valid, payload, true},
+      {"tampered proof", bad_proof, payload, false},
+      {"unknown root (rewritten)", rewritten_root, payload, false},
+      {"unknown root (foreign group)", *foreign_root, payload, true},
+      {"tampered payload", *valid, util::to_bytes("memo mE"), false},
+  };
+  const std::uint64_t misses_before = ctx.memo.misses();
+  const std::uint64_t hits_before = ctx.memo.hits();
+  std::set<gossipsub::MessageId> ids;
+  for (const Case& c : cases) {
+    const auto msg =
+        gossipsub::GsMessage::create("t", WakuRlnRelay::encode_envelope(c.signal, c.payload));
+    EXPECT_TRUE(ids.insert(msg.id).second) << c.name << ": id collides";
+    const auto decoded = WakuRlnRelay::decode_envelope(msg.data);
+    ASSERT_TRUE(decoded.has_value()) << c.name;
+    const auto body = decoded->second.span();
+    const bool direct = ctx.verifier.verify(body, decoded->first);
+    EXPECT_EQ(direct, c.expect_ok) << c.name;
+    EXPECT_EQ(ctx.verifier.verify_prepared(body, decoded->first), direct) << c.name;
+    const field::Fr x = zksnark::RlnCircuit::message_to_x(body);
+    // Lane 0 fills through the prepared path, lane 1 through the scalar
+    // reference; the second ask on each lane is a hit.
+    for (const std::size_t lane : {std::size_t{0}, std::size_t{1}}) {
+      for (int ask = 0; ask < 2; ++ask) {
+        const auto v = ctx.verdict(lane, msg.id, body, decoded->first,
+                                   /*prepared=*/lane == 0, epoch, /*keep_epochs=*/4);
+        EXPECT_EQ(v.proof_ok, direct) << c.name << " lane " << lane;
+        EXPECT_EQ(v.x, x) << c.name << " lane " << lane;
+      }
+    }
+  }
+  EXPECT_EQ(ctx.memo.misses() - misses_before, 2 * cases.size());
+  EXPECT_EQ(ctx.memo.hits() - hits_before, 2 * cases.size());
+}
+
+HarnessConfig memo_world(unsigned world_threads) {
+  HarnessConfig hc = HarnessConfig::defaults();
+  hc.node_count = 24;
+  hc.world_threads = world_threads;
+  hc.seed = 1313;
+  return hc;
+}
+
+// Per-node modeled counters of one publish in a memo_world.
+std::vector<std::array<std::uint64_t, 4>> publish_once(SimHarness& world) {
+  world.subscribe_all("m");
+  const std::array<std::size_t, 1> publisher{0};
+  world.register_nodes(publisher);
+  world.run_seconds(3);
+  EXPECT_EQ(world.node(0).publish("m", util::to_bytes("once per lane")),
+            WakuRlnRelay::PublishOutcome::kPublished);
+  world.run_seconds(5);
+  std::vector<std::array<std::uint64_t, 4>> counts;
+  for (std::size_t i = 0; i < world.size(); ++i) {
+    const auto& s = world.node(i).stats();
+    counts.push_back({s.proof_verifications, s.proof_cache_hits, s.accepted, s.duplicates});
+  }
+  return counts;
+}
+
+TEST(VerdictMemoLaneTest, OneWorldVerifiesEachMessageOncePerLane) {
+  std::vector<std::array<std::uint64_t, 4>> serial;
+  for (const unsigned threads : {1u, 4u}) {
+    SimHarness world(memo_world(threads));
+    const auto counts = publish_once(world);
+    const VerdictMemo& memo = world.validator_context()->memo;
+    ASSERT_EQ(memo.lane_count(), world.scheduler().lane_count());
+    // Every relay validated (and was charged for) the message itself...
+    std::uint64_t lookups = 0;
+    for (std::size_t i = 0; i < counts.size(); ++i) {
+      EXPECT_EQ(counts[i][0], 1u) << "node " << i << " @" << threads;
+      EXPECT_EQ(counts[i][2], 1u) << "node " << i << " @" << threads;
+      lookups += counts[i][0] + counts[i][1];
+    }
+    EXPECT_EQ(world.nodes_delivered(util::to_bytes("once per lane")), world.size());
+    // ...but the host verified it at most once per lane.
+    EXPECT_GE(memo.misses(), 1u);
+    EXPECT_LE(memo.misses(), memo.lane_count()) << "@" << threads;
+    EXPECT_EQ(memo.hits() + memo.misses(), lookups) << "@" << threads;
+    // The memo is invisible to the model: per-node counts match the
+    // serial world's exactly.
+    if (threads == 1) {
+      serial = counts;
+    } else {
+      EXPECT_EQ(counts, serial);
+    }
+  }
+}
+
+TEST(VerdictMemoTest, PerNodeCountsUnchangedOnRedelivery) {
+  // Re-sending one envelope after seen-cache expiry: each relay's own
+  // proof cache answers (verifications_saved), its verification count
+  // stays at one, and the host verdicts all come from the memo.
+  HarnessConfig hc = memo_world(1);
+  hc.gossip.seen_ttl = 1 * sim::kUsPerSecond;
+  SimHarness world(hc);
+  world.subscribe_all("m");
+  const std::array<std::size_t, 1> publisher{0};
+  world.register_nodes(publisher);
+  world.run_seconds(3);
+
+  WakuRlnRelay& sender = world.node(0);
+  rln::RlnProver prover(world.crs().pk, sender.identity());
+  const auto index = sender.group().index_of(sender.identity().pk);
+  ASSERT_TRUE(index.has_value());
+  Rng prng(31);
+  const Bytes payload = util::to_bytes("replayed");
+  const auto signal =
+      prover.create_signal(payload, sender.current_epoch(), sender.group(), *index, prng);
+  ASSERT_TRUE(signal.has_value());
+  const Bytes envelope = WakuRlnRelay::encode_envelope(*signal, payload);
+  world.relay(0).publish("m", envelope);
+  world.run_seconds(3);
+  const VerdictMemo& memo = world.validator_context()->memo;
+  const std::uint64_t misses = memo.misses();
+  const std::uint64_t hits = memo.hits();
+  const auto saved = [&] {
+    std::uint64_t total = 0;
+    for (std::size_t i = 0; i < world.size(); ++i) {
+      total += world.node(i).stats().proof_cache_hits;
+    }
+    return total;
+  };
+  const std::uint64_t saved_before = saved();
+
+  world.relay(0).publish("m", envelope, /*apply_validator=*/false);
+  world.run_seconds(3);
+  for (std::size_t i = 0; i < world.size(); ++i) {
+    EXPECT_EQ(world.node(i).stats().proof_verifications, 1u) << "node " << i;
+  }
+  EXPECT_GT(saved(), saved_before);
+  EXPECT_EQ(memo.misses(), misses);  // no host re-verification
+  EXPECT_EQ(memo.hits() - hits, saved() - saved_before);
+}
+
+TEST(VerdictMemoTest, IwantReplayCountsMatchAcrossThreadCounts) {
+  // Memo occupancy depends on the lane count; the modeled verification
+  // counts do not.
+  scenario::ScenarioSpec spec = scenario::find_scenario("iwant_replay");
+  spec.nodes = 14;
+  spec.traffic_epochs = 3;
+  const scenario::MetricSet serial = scenario::ScenarioRunner(spec, 6).run();
+  EXPECT_GT(serial.at("verifications_saved"), 0);
+  spec.world_threads = 4;
+  const scenario::MetricSet sharded = scenario::ScenarioRunner(spec, 6).run();
+  EXPECT_EQ(sharded.at("verifications_total"), serial.at("verifications_total"));
+  EXPECT_EQ(sharded.at("verifications_saved"), serial.at("verifications_saved"));
+}
+
+TEST(VerdictMemoTest, SizeStaysBoundedOverManyEpochs) {
+  constexpr std::uint64_t kKeep = 3;
+  constexpr std::size_t kPerEpoch = 10;
+  VerdictMemo memo(2);
+  for (std::uint64_t epoch = 0; epoch < 100; ++epoch) {
+    for (std::size_t i = 0; i < kPerEpoch; ++i) {
+      gossipsub::MessageId id{};
+      id[0] = static_cast<std::uint8_t>(i);
+      id[1] = static_cast<std::uint8_t>(epoch);
+      id[2] = static_cast<std::uint8_t>(epoch >> 8);
+      memo.insert(i % 2, id, VerdictMemo::Verdict{true, field::Fr::from_u64(epoch)}, epoch, kKeep);
+    }
+    EXPECT_LE(memo.size(), (kKeep + 1) * kPerEpoch) << "epoch " << epoch;
+  }
+  EXPECT_EQ(memo.size(), (kKeep + 1) * kPerEpoch);
+
+  // A world publishing once per epoch keeps at most one retention
+  // window of ids per lane.
+  HarnessConfig hc = memo_world(1);
+  hc.node_count = 8;
+  SimHarness world(hc);
+  world.subscribe_all("m");
+  const std::array<std::size_t, 1> publisher{0};
+  world.register_nodes(publisher);
+  const std::uint64_t keep = std::max<std::uint64_t>(world.node(0).epoch_scheme().threshold(), 1) *
+                             hc.rln.nullifier_retention_factor;
+  const VerdictMemo& shared = world.validator_context()->memo;
+  for (int e = 0; e < 40; ++e) {
+    world.node(0).publish("m", util::to_bytes("tick " + std::to_string(e)));
+    world.run_seconds(hc.rln.epoch_period_seconds);
+    EXPECT_LE(shared.size(), shared.lane_count() * (keep + 1)) << "epoch " << e;
+  }
+  EXPECT_GT(shared.size(), 0u);
+  EXPECT_LE(shared.misses(), 40 * shared.lane_count());
 }
 
 }  // namespace
