@@ -47,8 +47,11 @@ void MembershipContract::register_member(TxContext& ctx, const field::Fr& pk) {
 void MembershipContract::slash(TxContext& ctx, const field::Fr& sk) {
   const GasSchedule& g = chain_.config().gas;
   // The contract recomputes pk = H(sk) on-chain to validate the evidence.
+  // Every call pays the gas; the host hashes each distinct sk once.
   ctx.gas().charge(g.poseidon_eval);
-  const field::Fr pk = hash::poseidon_hash1(sk);
+  auto [cached, fresh] = pk_by_sk_.try_emplace(sk);
+  if (fresh) cached->second = hash::poseidon_hash1(sk);
+  const field::Fr pk = cached->second;
 
   ctx.gas().charge(g.sload);  // membership lookup
   const auto it = index_by_pk_.find(pk);

@@ -78,6 +78,13 @@ class MembershipContract {
   std::vector<field::Fr> pks_;
   std::unordered_map<field::Fr, std::uint64_t, field::FrHash> index_by_pk_;
   std::uint64_t active_members_ = 0;
+
+ private:
+  /// Host memo of pk = H(sk) per slashed-with sk: every detecting relay
+  /// submits its own slash for the same offender, and the host hashes
+  /// each distinct sk once. Gas is still charged per call; not modeled
+  /// state, so it reaches no memory figure.
+  std::unordered_map<field::Fr, field::Fr, field::FrHash> pk_by_sk_;
 };
 
 /// The paper's contract: flat registry, constant-cost operations.

@@ -61,6 +61,9 @@ void SeenCache::expire_older_than(std::uint64_t now, std::uint64_t ttl) {
       ++survivors;
     }
   }
+  // Nothing expired (the loop cleared no slot) and the table already has
+  // the fitting capacity: the rebuild would reproduce the same contents.
+  if (survivors == size_ && fps_.size() == capacity_for(size_)) return;
   size_ = survivors;
   if (survivors == 0) {
     // Back to the unallocated state a quiet node started in.

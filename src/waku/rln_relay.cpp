@@ -80,7 +80,9 @@ WakuRlnRelay::WakuRlnRelay(WakuRelay& relay, eth::Chain& chain,
       account_(account),
       config_(config),
       rng_(rng),
-      identity_(rln::Identity::generate(rng_)),
+      // The one Fr::random draw Identity::generate makes; pk waits for
+      // identity().
+      identity_{field::Fr::random(rng_), field::Fr::zero()},
       epochs_(config.epoch_period_seconds, config.max_delay_seconds),
       sync_(group_sync ? std::move(group_sync)
                        : std::make_shared<GroupSync>(chain, config.tree_depth,
@@ -137,8 +139,16 @@ std::uint64_t WakuRlnRelay::current_epoch() const {
   return epochs_.epoch_at(now_seconds());
 }
 
+const rln::Identity& WakuRlnRelay::identity() const {
+  if (!has_pk_) {
+    identity_ = rln::Identity::from_sk(identity_.sk);
+    has_pk_ = true;
+  }
+  return identity_;
+}
+
 std::uint64_t WakuRlnRelay::request_registration() {
-  const field::Fr pk = identity_.pk;
+  const field::Fr pk = identity().pk;
   return chain_.submit(
       account_, contract_.config().stake_wei,
       eth::MembershipContract::kRegisterCalldataBytes,
@@ -192,7 +202,7 @@ WakuRlnRelay::PublishOutcome WakuRlnRelay::do_publish(const gossipsub::TopicId& 
   if (!prover_) {
     // First publish: build the prover from the shared CRS. The ctor draws
     // no randomness, so lazy construction leaves the rng sequence alone.
-    prover_ = std::make_unique<rln::RlnProver>(ctx_->crs.pk, identity_,
+    prover_ = std::make_unique<rln::RlnProver>(ctx_->crs.pk, identity(),
                                                config_.messages_per_epoch);
   }
   const auto signal =
@@ -314,7 +324,9 @@ gossipsub::Validation WakuRlnRelay::validate(sim::NodeId /*source*/,
 void WakuRlnRelay::on_chain_event(const eth::ContractEvent& event) {
   // Tree updates (and the shared root history) were applied by the
   // GroupSync subscriber already; here each peer tracks only its own
-  // membership index.
+  // membership index. A relay that never built its commitment never
+  // submitted it, so no event can name it.
+  if (!has_pk_) return;
   if (const auto* reg = std::get_if<eth::MemberRegistered>(&event)) {
     if (reg->pk == identity_.pk) own_index_ = reg->index;
   } else if (const auto* slashed = std::get_if<eth::MemberSlashed>(&event)) {

@@ -3,7 +3,11 @@
 // with RLN so each group member may publish at most one message per epoch.
 //
 // Per peer this class wires together:
-//   * registration        — stake + pk to the membership contract
+//   * registration        — stake + pk to the membership contract; the
+//                           commitment pk = H(sk) is hashed on first need
+//                           (registration, or a caller reading
+//                           identity()), so relays that never register
+//                           pay no Poseidon
 //   * group sync          — Merkle tree maintained from contract events
 //                           (a GroupSync service, shareable across the
 //                           peers of one simulated world), with an
@@ -210,7 +214,11 @@ class WakuRlnRelay {
   /// active once the event fires (next mined block).
   std::uint64_t request_registration();
   bool is_registered() const { return own_index_.has_value(); }
-  const rln::Identity& identity() const { return identity_; }
+  /// This relay's identity. sk is drawn at construction; the commitment
+  /// pk = H(sk) is computed on the first call (or at registration) and
+  /// reused after. Call it from the coordinator or global lane, or from
+  /// this relay's own lane: the first call writes the cached pk.
+  const rln::Identity& identity() const;
   eth::Address account() const { return account_; }
 
   // -- messaging ----------------------------------------------------------
@@ -286,7 +294,9 @@ class WakuRlnRelay {
   WakuRlnConfig config_;
   util::Rng rng_;
 
-  rln::Identity identity_;
+  /// sk from construction; pk valid only once has_pk_ (see identity()).
+  mutable rln::Identity identity_;
+  mutable bool has_pk_ = false;
   rln::EpochScheme epochs_;
   std::shared_ptr<GroupSync> sync_;
   std::shared_ptr<const RlnValidatorContext> ctx_;  ///< world-shared

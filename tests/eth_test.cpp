@@ -252,6 +252,35 @@ TEST_P(MembershipContractTest, SlashedMemberCannotBeSlashedTwice) {
   EXPECT_FALSE(again.success);
 }
 
+TEST_P(MembershipContractTest, SlashOfReRegisteredPkChargesTheSameGas) {
+  // The second slash with the same sk reads the host's H(sk) memo; the
+  // modeled on-chain Poseidon is charged again, so the receipts match.
+  const Identity id = Identity::generate(rng_);
+  const std::uint64_t stake = contract_->config().stake_wei;
+  ASSERT_TRUE(register_now(chain_, *contract_, kAlice, id.pk, 0, stake).success);
+  const Receipt first = slash_now(chain_, *contract_, kBob, id.sk, 20);
+  ASSERT_TRUE(first.success);
+  ASSERT_TRUE(register_now(chain_, *contract_, kAlice, id.pk, 40, stake).success);
+  EXPECT_TRUE(contract_->is_active(id.pk));
+  const Receipt second = slash_now(chain_, *contract_, kBob, id.sk, 60);
+  EXPECT_TRUE(second.success);
+  EXPECT_EQ(second.gas_used, first.gas_used);
+  EXPECT_FALSE(contract_->is_active(id.pk));
+  EXPECT_EQ(contract_->member_count(), 0u);
+  EXPECT_EQ(chain_.ledger().burnt_total(), 2 * 500'000u);
+}
+
+TEST_P(MembershipContractTest, RepeatedNonMemberSlashRevertsWithEqualGas) {
+  const Identity stranger = Identity::generate(rng_);
+  const Receipt first = slash_now(chain_, *contract_, kBob, stranger.sk, 0);
+  const Receipt second = slash_now(chain_, *contract_, kAlice, stranger.sk, 20);
+  EXPECT_FALSE(first.success);
+  EXPECT_FALSE(second.success);
+  EXPECT_EQ(first.error, "not a member");
+  EXPECT_EQ(second.error, "not a member");
+  EXPECT_EQ(second.gas_used, first.gas_used);
+}
+
 TEST_P(MembershipContractTest, GroupFullRejects) {
   MembershipConfig tiny = small_membership();
   tiny.tree_depth = 1;  // capacity 2

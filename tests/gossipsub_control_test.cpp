@@ -5,8 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "gossipsub/router.h"
+#include "gossipsub/seen_cache.h"
 
 namespace wakurln::gossipsub {
 namespace {
@@ -159,6 +162,34 @@ TEST(GossipControlTest, SeenCacheExpiresAfterTtl) {
   EXPECT_TRUE(m.routers[0]->has_seen(id));
   m.run_s(6);  // beyond seen_ttl + heartbeat GC
   EXPECT_FALSE(m.routers[0]->has_seen(id));
+}
+
+TEST(GossipControlTest, SeenCacheSweepThatExpiresNothingChangesNothing) {
+  SeenCache cache;
+  std::vector<MessageId> ids;
+  for (int i = 0; i < 40; ++i) {
+    const std::string data = std::string("seen ").append(std::to_string(i));
+    ids.push_back(GsMessage::create("t", util::to_bytes(data)).id);
+    cache.insert(ids.back(), 100 + i);
+  }
+  // Settle the table at its fitting capacity first.
+  cache.expire_older_than(200, 1000);
+  const std::size_t size = cache.size();
+  const std::size_t capacity = cache.capacity();
+  const std::size_t bytes = cache.memory_bytes();
+  ASSERT_EQ(size, ids.size());
+
+  cache.expire_older_than(300, 1000);  // every entry is younger than the ttl
+  EXPECT_EQ(cache.size(), size);
+  EXPECT_EQ(cache.capacity(), capacity);
+  EXPECT_EQ(cache.memory_bytes(), bytes);
+  for (const MessageId& id : ids) EXPECT_TRUE(cache.contains(id));
+  EXPECT_FALSE(cache.contains(GsMessage::create("t", util::to_bytes("absent")).id));
+
+  // A later sweep that does expire entries still drops exactly those.
+  cache.expire_older_than(100 + 20 + 1000, 1000);
+  EXPECT_EQ(cache.size(), 20u);
+  for (int i = 0; i < 40; ++i) EXPECT_EQ(cache.contains(ids[i]), i >= 20) << i;
 }
 
 TEST(GossipControlTest, FanoutExpiresAfterTtl) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "gossipsub/router.h"
 #include "sim/topology.h"
@@ -284,7 +285,7 @@ TEST(RouterTest, GossipRecoversFromLossyLinks) {
   swarm.subscribe_all("t");
   swarm.settle(5);
   for (int i = 0; i < 10; ++i) {
-    swarm.routers[i % 16]->publish("t", util::to_bytes("m" + std::to_string(i)));
+    swarm.routers[i % 16]->publish("t", util::to_bytes(std::string("m").append(std::to_string(i))));
     swarm.settle(2);
   }
   swarm.settle(30);  // allow several gossip rounds

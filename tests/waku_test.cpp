@@ -219,6 +219,61 @@ TEST(WakuRlnRelayTest, SlashedMemberCannotPublish) {
             WakuRlnRelay::PublishOutcome::kNotRegistered);
 }
 
+TEST(LazyCommitmentTest, IdentityMatchesIdentityGenerateFromTheSameSeed) {
+  // The relay draws sk exactly as Identity::generate does and hashes pk
+  // only when asked, so the rng stream and the identity are unchanged.
+  TestNet tn(1);
+  WakuRelay relay(tn.net.add_node({}), tn.net);
+  const WakuRlnRelay node(relay, tn.chain, *tn.contract, tn.crs, 5000,
+                          TestNet::rln_config(), Rng(4242));
+  Rng reference(4242);
+  const rln::Identity expected = rln::Identity::generate(reference);
+  EXPECT_EQ(node.identity().sk, expected.sk);
+  EXPECT_EQ(node.identity().pk, expected.pk);
+  EXPECT_EQ(node.identity().pk, hash::poseidon_hash1(node.identity().sk));
+}
+
+TEST(LazyCommitmentTest, UnreadIdentityRegistersPublishesAndIsSlashed) {
+  TestNet tn(6);
+  tn.subscribe_all("t");
+  WakuRlnRelay& spammer = *tn.nodes[0];
+  // Nobody reads identity() before registration builds the commitment.
+  tn.register_all();
+  ASSERT_TRUE(spammer.is_registered());
+  EXPECT_TRUE(tn.contract->is_active(spammer.identity().pk));
+  EXPECT_TRUE(spammer.group().index_of(spammer.identity().pk).has_value());
+  tn.run_seconds(5);
+  EXPECT_EQ(spammer.publish_unchecked("t", util::to_bytes("a")),
+            WakuRlnRelay::PublishOutcome::kPublished);
+  EXPECT_EQ(spammer.publish_unchecked("t", util::to_bytes("b")),
+            WakuRlnRelay::PublishOutcome::kPublished);
+  tn.run_seconds(30);
+  EXPECT_FALSE(spammer.is_registered());
+  EXPECT_FALSE(tn.contract->is_active(spammer.identity().pk));
+  EXPECT_EQ(tn.chain.ledger().burnt_total(), tn.contract->config().stake_wei / 2);
+}
+
+TEST(LazyCommitmentTest, NeverRegisteredRelayIgnoresOtherMembersEvents) {
+  TestNet tn(6);
+  tn.subscribe_all("t");
+  WakuRlnRelay& bystander = *tn.nodes[5];
+  for (std::size_t i = 0; i < 5; ++i) tn.nodes[i]->request_registration();
+  tn.run_seconds(15);  // MemberRegistered x5 mined
+  EXPECT_FALSE(bystander.is_registered());
+  EXPECT_EQ(bystander.group().member_count(), 5u);
+
+  WakuRlnRelay& spammer = *tn.nodes[0];
+  spammer.publish_unchecked("t", util::to_bytes("a"));
+  spammer.publish_unchecked("t", util::to_bytes("b"));
+  tn.run_seconds(30);  // MemberSlashed mined
+  ASSERT_FALSE(spammer.is_registered());
+  EXPECT_FALSE(bystander.is_registered());
+  EXPECT_GE(bystander.stats().accepted, 1u);  // still relays as a pure router
+  EXPECT_EQ(bystander.publish("t", util::to_bytes("m")),
+            WakuRlnRelay::PublishOutcome::kNotRegistered);
+  EXPECT_FALSE(tn.contract->is_active(bystander.identity().pk));
+}
+
 TEST(WakuRlnRelayTest, StaleEpochRejected) {
   TestNet tn(4);
   tn.subscribe_all("t");
