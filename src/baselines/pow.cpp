@@ -43,6 +43,13 @@ std::optional<PowEnvelope> PowEnvelope::deserialize(std::span<const std::uint8_t
   }
 }
 
+std::optional<util::SharedBytes> PowEnvelope::payload_view(
+    const util::SharedBytes& data) {
+  constexpr std::size_t kNonceBytes = sizeof(std::uint64_t);
+  if (data.size() < kNonceBytes) return std::nullopt;
+  return data.slice(kNonceBytes, data.size() - kNonceBytes);
+}
+
 namespace {
 hash::Digest seal_digest(const PowEnvelope& env) {
   util::ByteWriter w;

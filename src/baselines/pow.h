@@ -16,6 +16,7 @@
 #include "gossipsub/router.h"
 #include "util/bytes.h"
 #include "util/rng.h"
+#include "util/shared_bytes.h"
 #include "zksnark/cost_model.h"
 
 namespace wakurln::baselines {
@@ -30,6 +31,9 @@ struct PowEnvelope {
 
   util::Bytes serialize() const;
   static std::optional<PowEnvelope> deserialize(std::span<const std::uint8_t> data);
+  /// Zero-copy view of the payload inside serialized envelope bytes, or
+  /// nullopt exactly where deserialize() fails.
+  static std::optional<util::SharedBytes> payload_view(const util::SharedBytes& data);
 };
 
 /// Grinds a real nonce (use small difficulties in tests; cost is ~2^bits).

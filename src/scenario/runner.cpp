@@ -183,13 +183,6 @@ struct Publication {
   std::size_t topic = 0;
 };
 
-/// One application-level delivery, keyed by the bare payload.
-struct Delivered {
-  std::size_t node;
-  std::string payload;
-  sim::TimeUs at;
-};
-
 /// What the workload phase recorded. Ordered containers throughout: metric
 /// assembly iterates them and campaign reports are byte-compared.
 struct TrafficLog {
@@ -634,13 +627,12 @@ class ReplayAttacker {
 };
 
 /// Wires the passive adversaries into the network's single tap slot.
-void install_frame_tap(sim::Network& net, FirstSpyObserver& spy,
-                       ReplayAttacker* replay) {
-  if (!spy.enabled() && (replay == nullptr || !replay->enabled())) return;
-  net.set_frame_tap([&spy, replay](sim::NodeId from, sim::NodeId to,
-                                   const sim::Frame& frame, std::size_t) {
+void install_frame_tap(sim::Network& net, FirstSpyObserver& spy, ReplayAttacker& replay) {
+  if (!spy.enabled() && !replay.enabled()) return;
+  net.set_frame_tap([&spy, &replay](sim::NodeId from, sim::NodeId to,
+                                    const sim::Frame& frame, std::size_t) {
     if (spy.enabled()) spy.on_frame(from, to, frame);
-    if (replay != nullptr && replay->enabled()) replay->on_frame(from, to, frame);
+    if (replay.enabled()) replay.on_frame(from, to, frame);
   });
 }
 
@@ -695,22 +687,23 @@ void capture_scheduler_stats(const sim::Scheduler& sched, const SteadyProbe& pro
 
 void fill_delivery_metrics(MetricSet& m, const ScenarioSpec& spec,
                            const TrafficLog& log,
-                           const std::vector<Delivered>& deliveries) {
+                           const std::vector<waku::RelayWorld::Delivery>& deliveries) {
   const auto n = static_cast<double>(spec.nodes);
   std::map<std::string, std::set<std::size_t>> receivers;
   std::vector<double> latencies_ms;
   std::uint64_t honest_deliveries = 0;
   std::uint64_t spam_deliveries = 0;
 
-  for (const Delivered& d : deliveries) {
-    if (const auto it = log.honest.find(d.payload); it != log.honest.end()) {
-      if (d.node == it->second.origin) continue;  // local self-delivery
+  for (const auto& d : deliveries) {
+    const std::string key = key_of(d.payload);
+    if (const auto it = log.honest.find(key); it != log.honest.end()) {
+      if (d.node_index == it->second.origin) continue;  // local self-delivery
       ++honest_deliveries;
-      receivers[d.payload].insert(d.node);
+      receivers[key].insert(d.node_index);
       latencies_ms.push_back(static_cast<double>(d.at - it->second.at) /
                              static_cast<double>(sim::kUsPerMs));
-    } else if (const auto is = log.spam.find(d.payload); is != log.spam.end()) {
-      if (d.node == is->second.origin) continue;
+    } else if (const auto is = log.spam.find(key); is != log.spam.end()) {
+      if (d.node_index == is->second.origin) continue;
       ++spam_deliveries;
     }
   }
@@ -867,7 +860,7 @@ MetricSet ScenarioRunner::run() {
   const auto t0 = std::chrono::steady_clock::now();
   series_ = obs::TimeSeries();
   trace_json_.clear();
-  MetricSet m = spec_.protocol == Protocol::kPow ? run_pow() : run_rln();
+  MetricSet m = run_world();
   resource_.wall_ms = std::chrono::duration<double, std::milli>(
                           std::chrono::steady_clock::now() - t0)
                           .count();
@@ -875,7 +868,8 @@ MetricSet ScenarioRunner::run() {
   return m;
 }
 
-MetricSet ScenarioRunner::run_rln() {
+MetricSet ScenarioRunner::run_world() {
+  const bool rln = spec_.protocol == Protocol::kRln;
   waku::HarnessConfig cfg = waku::HarnessConfig::defaults();
   cfg.node_count = spec_.nodes;
   cfg.world_threads = spec_.world_threads;
@@ -903,10 +897,28 @@ MetricSet ScenarioRunner::run_rln() {
   obs::Registry reg(spec_.observability);
   std::optional<obs::Tracer> tracer;
   if (spec_.trace) tracer.emplace(spec_.trace_capacity);
+  obs::Tracer* const tr = tracer ? &*tracer : nullptr;
 
-  waku::SimHarness world(cfg);
-  apply_observer_placement(spec_, world.network());
-  world.attach_observability(reg, tracer ? &*tracer : nullptr);
+  // One world builder for both protocols. WAKU-RLN-RELAY is the relay
+  // world plus chain, contract and RLN relays (waku::SimHarness); the PoW
+  // baseline is the bare relay world with a proof-of-work validator on
+  // every relay. The harness starts its relays before the observers are
+  // placed, the PoW world after: each order fixes its peer tables.
+  std::optional<waku::SimHarness> harness;
+  std::optional<waku::RelayWorld> pow_world;
+  if (rln) {
+    harness.emplace(cfg);
+    apply_observer_placement(spec_, harness->network());
+    harness->attach_observability(reg, tr);
+  } else {
+    pow_world.emplace(cfg);
+    for (std::size_t i = 0; i < spec_.nodes; ++i) pow_world->add_relay();
+    pow_world->wire();
+    apply_observer_placement(spec_, pow_world->network());
+    pow_world->start();
+    pow_world->attach_observability(reg, tr);
+  }
+  waku::RelayWorld& world = harness ? *harness : *pow_world;
   TrafficLog log;
   register_workload_probes(reg, log);
 
@@ -914,39 +926,78 @@ MetricSet ScenarioRunner::run_rln() {
   const std::uint64_t payload_bytes0 = util::SharedBytes::allocated_bytes();
 
   const std::vector<std::string> topics = topic_names(spec_);
-  for (const std::string& t : topics) world.subscribe_all(t);
-  if (spec_.register_publishers_only || spec_.storm.stormers > 0) {
-    // Storm worlds must leave the storm band unregistered for the waves.
-    world.register_nodes(publishing_nodes(spec_));
+  if (harness) {
+    for (const std::string& t : topics) harness->subscribe_all(t);
+    if (spec_.register_publishers_only || spec_.storm.stormers > 0) {
+      // Storm worlds must leave the storm band unregistered for the waves.
+      harness->register_nodes(publishing_nodes(spec_));
+    } else {
+      harness->register_all();
+    }
   } else {
-    world.register_all();
+    for (std::size_t i = 0; i < spec_.nodes; ++i) {
+      for (const std::string& topic : topics) {
+        world.relay(i).router().set_validator(
+            topic, baselines::make_pow_validator(spec_.pow_difficulty_bits));
+        world.relay(i).subscribe(topic, [&world, i](const gossipsub::TopicId&,
+                                                    const util::SharedBytes& data) {
+          if (const auto payload = baselines::PowEnvelope::payload_view(data)) {
+            world.record_delivery(i, *payload);
+          }
+        });
+      }
+    }
   }
   world.run_seconds(5);  // mesh warm-up heartbeats
 
-  FirstSpyObserver spy(spec_, world.scheduler(),
-                       [](const util::SharedBytes& data) -> std::optional<std::string> {
-                         const auto decoded = waku::WakuRlnRelay::decode_envelope(data);
-                         if (!decoded) return std::nullopt;
-                         return key_of(decoded->second);
-                       });
+  FirstSpyObserver spy(
+      spec_, world.scheduler(),
+      [rln](const util::SharedBytes& data) -> std::optional<std::string> {
+        std::optional<util::SharedBytes> payload;
+        if (!rln) {
+          payload = baselines::PowEnvelope::payload_view(data);
+        } else if (auto decoded = waku::WakuRlnRelay::decode_envelope(data)) {
+          payload = std::move(decoded->second);
+        }
+        if (!payload) return std::nullopt;
+        return key_of(*payload);
+      });
   ReplayAttacker replay(spec_, world.network(), topics.front());
-  install_frame_tap(world.network(), spy, &replay);
+  install_frame_tap(world.network(), spy, replay);
 
-  const PublishFn honest = [&](std::size_t node, std::size_t topic,
-                               const std::string& key) {
-    return world.node(node).publish(topics[topic], padded_payload(spec_, key)) ==
-           waku::WakuRlnRelay::PublishOutcome::kPublished;
-  };
-  const PublishFn spam = [&](std::size_t node, std::size_t topic,
-                             const std::string& key) {
-    return world.node(node).publish_unchecked(topics[topic],
-                                              padded_payload(spec_, key)) ==
-           waku::WakuRlnRelay::PublishOutcome::kPublished;
-  };
+  PublishFn honest;
+  PublishFn spam;
+  if (harness) {
+    honest = [&](std::size_t node, std::size_t topic, const std::string& key) {
+      return harness->node(node).publish(topics[topic], padded_payload(spec_, key)) ==
+             waku::WakuRlnRelay::PublishOutcome::kPublished;
+    };
+    spam = [&](std::size_t node, std::size_t topic, const std::string& key) {
+      return harness->node(node).publish_unchecked(topics[topic],
+                                                   padded_payload(spec_, key)) ==
+             waku::WakuRlnRelay::PublishOutcome::kPublished;
+    };
+  } else {
+    // Under PoW everyone — honest phone or spam rig — pays the same hash
+    // price and there is no rate to enforce: the spam path is just publish.
+    honest = spam = [&](std::size_t node, std::size_t topic, const std::string& key) {
+      const auto env =
+          baselines::pow_seal(padded_payload(spec_, key), spec_.pow_difficulty_bits);
+      world.relay(node).publish(topics[topic], env.serialize());
+      if (tr != nullptr) {
+        tr->instant("publish", world.scheduler().now(), static_cast<std::uint32_t>(node),
+                    key);
+      }
+      return true;
+    };
+  }
 
-  // Let late frames land and slash transactions get mined before measuring.
-  const std::uint64_t drain_seconds = cfg.rln.max_delay_seconds +
-                                      2 * world.chain().config().block_time_seconds + 5;
+  // Let late frames land and, under RLN, slash transactions get mined
+  // before measuring.
+  const std::uint64_t drain_seconds =
+      harness ? cfg.rln.max_delay_seconds +
+                    2 * harness->chain().config().block_time_seconds + 5
+              : 10;
 
   // Registration storm: a periodic timer (one stored callback, re-armed
   // by the engine) walks the storm band in waves. Each wave requests
@@ -954,7 +1005,7 @@ MetricSet ScenarioRunner::run_rln() {
   // boundary has passed), the member double-signals so the network
   // slashes it — the membership tree churns in both directions while the
   // honest workload runs. The timer cancels itself when the band is
-  // consumed (safe from inside its own callback).
+  // consumed (safe from inside its own callback). Storms are RLN-only.
   struct StormLog {
     std::uint64_t waves = 0;
     std::uint64_t join_requests = 0;
@@ -969,9 +1020,9 @@ MetricSet ScenarioRunner::run_rln() {
     const sim::TimeUs wave_us =
         spec_.storm.wave_every_epochs * spec_.epoch_seconds * sim::kUsPerSecond;
     const sim::TimeUs confirm_us =
-        (world.chain().config().block_time_seconds + 2) * sim::kUsPerSecond;
+        (harness->chain().config().block_time_seconds + 2) * sim::kUsPerSecond;
     const sim::TimeUs first_delay = traffic_start_us(spec_, sched) - sched.now();
-    *handle = sched.schedule_periodic(first_delay, wave_us, [&world, &storm_log,
+    *handle = sched.schedule_periodic(first_delay, wave_us, [&harness, &storm_log,
                                                              &sched, this, stormers,
                                                              next, handle, confirm_us,
                                                              topics] {
@@ -979,30 +1030,31 @@ MetricSet ScenarioRunner::run_rln() {
       for (std::size_t j = 0;
            j < spec_.storm.joins_per_wave && *next < stormers->size(); ++j, ++*next) {
         const std::size_t node = (*stormers)[*next];
-        world.node(node).request_registration();
+        harness->node(node).request_registration();
         ++storm_log.join_requests;
         if (!spec_.storm.slash_after_join) continue;
-        sched.schedule_after(confirm_us, [&world, &storm_log, this, node, topics] {
+        sched.schedule_after(confirm_us, [&harness, &storm_log, this, node, topics] {
           for (std::uint64_t j2 = 0; j2 < 2; ++j2) {
             const std::string key = payload_key('g', node, 0, j2);
-            if (world.node(node).publish_unchecked(topics.front(),
-                                                   padded_payload(spec_, key)) ==
+            if (harness->node(node).publish_unchecked(topics.front(),
+                                                      padded_payload(spec_, key)) ==
                 waku::WakuRlnRelay::PublishOutcome::kPublished) {
               ++storm_log.double_signal_publishes;
             }
           }
         });
       }
-      if (*next >= stormers->size()) world.scheduler().cancel(*handle);
+      if (*next >= stormers->size()) sched.cancel(*handle);
     });
   }
 
-  // Sample the nullifier-map footprint — and every other subsystem's
-  // resident bytes — once per epoch across the whole run: the per-epoch
-  // GC would have pruned the records by the time the drain ends, so an
-  // end-of-run reading misses the peak. The memory peaks are reported
-  // whether or not the observability layer is on (the sampling lambda is
-  // read-only, so its position among same-timestamp events is inert).
+  // Sample every subsystem's resident bytes — the nullifier map's
+  // footprint included — once per epoch across the whole run: the
+  // per-epoch GC would have pruned the records by the time the drain
+  // ends, so an end-of-run reading misses the peak. The memory peaks are
+  // reported whether or not the observability layer is on (the sampling
+  // lambda is read-only, so its position among same-timestamp events is
+  // inert).
   std::size_t nullifier_max = 0;
   MemoryPeaks mem_peaks;
   {
@@ -1011,29 +1063,25 @@ MetricSet ScenarioRunner::run_rln() {
         now_s + (spec_.traffic_epochs + 2) * spec_.epoch_seconds + drain_seconds;
     for (std::uint64_t t = now_s + 1; t <= horizon_s; t += spec_.epoch_seconds) {
       world.scheduler().schedule_at(
-          t * sim::kUsPerSecond, [&world, &nullifier_max, &mem_peaks] {
-            // Shared world state (router params + topic table, nullifier
-            // record arena) is charged once; the loop adds the per-node
-            // views on top.
-            std::size_t routers = world.router_shared_bytes();
-            std::size_t mcaches = 0;
-            std::size_t nullifiers = world.validator_context()->memory_bytes();
-            for (std::size_t i = 0; i < world.size(); ++i) {
-              const std::size_t nb = world.node(i).nullifier_map_bytes();
-              nullifier_max = std::max(nullifier_max, nb);
-              nullifiers += nb;
-              routers += world.relay(i).router().memory_bytes();
-              mcaches += world.relay(i).router().mcache().memory_bytes();
-            }
-            mem_peaks.router = std::max(mem_peaks.router, routers);
-            mem_peaks.mcache = std::max(mem_peaks.mcache, mcaches);
-            mem_peaks.nullifier = std::max(mem_peaks.nullifier, nullifiers);
-            mem_peaks.merkle =
-                std::max(mem_peaks.merkle, world.group_sync().memory_bytes());
+          t * sim::kUsPerSecond, [&world, &harness, &nullifier_max, &mem_peaks] {
+            mem_peaks.router = std::max(mem_peaks.router, world.router_bytes());
+            mem_peaks.mcache = std::max(mem_peaks.mcache, world.mcache_bytes());
             mem_peaks.event_pool =
                 std::max(mem_peaks.event_pool, world.scheduler().memory_bytes());
             mem_peaks.network =
                 std::max(mem_peaks.network, world.network().memory_bytes());
+            if (!harness) return;
+            // The shared nullifier record arena is charged once; the loop
+            // adds the per-node views on top.
+            std::size_t nullifiers = harness->validator_context()->memory_bytes();
+            for (std::size_t i = 0; i < harness->size(); ++i) {
+              const std::size_t nb = harness->node(i).nullifier_map_bytes();
+              nullifier_max = std::max(nullifier_max, nb);
+              nullifiers += nb;
+            }
+            mem_peaks.nullifier = std::max(mem_peaks.nullifier, nullifiers);
+            mem_peaks.merkle =
+                std::max(mem_peaks.merkle, harness->group_sync().memory_bytes());
           });
     }
   }
@@ -1046,8 +1094,8 @@ MetricSet ScenarioRunner::run_rln() {
     sim::Scheduler& sched = world.scheduler();
     const sim::TimeUs period = spec_.epoch_seconds * sim::kUsPerSecond;
     sample_timer = sched.schedule_periodic(
-        traffic_start_us(spec_, sched) - sched.now(), period, [this, &reg, &world] {
-          series_.sample(reg, static_cast<double>(world.scheduler().now()) /
+        traffic_start_us(spec_, sched) - sched.now(), period, [this, &reg, &sched] {
+          series_.sample(reg, static_cast<double>(sched.now()) /
                                   static_cast<double>(sim::kUsPerSecond));
         });
   }
@@ -1062,55 +1110,58 @@ MetricSet ScenarioRunner::run_rln() {
   fill_memory_resources(mem_peaks, resource_);
   if (tracer) trace_json_ = tracer->json();
 
-  std::vector<Delivered> deliveries;
-  deliveries.reserve(world.deliveries().size());
-  for (const auto& d : world.deliveries()) {
-    deliveries.push_back({d.node_index, key_of(d.payload), d.at});
-  }
-
   MetricSet m;
   m.set("nodes", static_cast<double>(spec_.nodes));
-  fill_delivery_metrics(m, spec_, log, deliveries);
-  fill_over_rate_metrics(m, spec_, log, [&](std::size_t i) {
-    return !world.contract().is_active(world.node(i).identity().pk);
+  fill_delivery_metrics(m, spec_, log, world.deliveries());
+  fill_over_rate_metrics(m, spec_, log, [&harness](std::size_t i) {
+    return harness && !harness->contract().is_active(harness->node(i).identity().pk);
   });
 
-  const auto stats = world.aggregate_stats();
-  m.set("rln_accepted", static_cast<double>(stats.accepted));
-  m.set("rln_duplicates", static_cast<double>(stats.duplicates));
-  m.set("rln_double_signals", static_cast<double>(stats.double_signals));
-  m.set("rln_slashes_submitted", static_cast<double>(stats.slashes_submitted));
-  m.set("nullifier_map_max_bytes", static_cast<double>(nullifier_max));
-  m.set("stake_burnt_wei", static_cast<double>(world.chain().ledger().burnt_total()));
+  const auto stats = harness ? harness->aggregate_stats() : waku::WakuRlnRelay::Stats{};
+  if (harness) {
+    m.set("rln_accepted", static_cast<double>(stats.accepted));
+    m.set("rln_duplicates", static_cast<double>(stats.duplicates));
+    m.set("rln_double_signals", static_cast<double>(stats.double_signals));
+    m.set("rln_slashes_submitted", static_cast<double>(stats.slashes_submitted));
+    m.set("nullifier_map_max_bytes", static_cast<double>(nullifier_max));
+    m.set("stake_burnt_wei",
+          static_cast<double>(harness->chain().ledger().burnt_total()));
 
-  if (spec_.adversaries.adaptive_spammers > 0) {
-    m.set("adaptive_probes_attempted",
-          static_cast<double>(log.adaptive_probes_attempted));
-    m.set("adaptive_probes_published",
-          static_cast<double>(log.adaptive_probes_published));
-  }
-  if (spec_.storm.stormers > 0) {
-    m.set("storm_waves", static_cast<double>(storm_log.waves));
-    m.set("storm_join_requests", static_cast<double>(storm_log.join_requests));
-    m.set("storm_double_signal_publishes",
-          static_cast<double>(storm_log.double_signal_publishes));
-  }
+    if (spec_.adversaries.adaptive_spammers > 0) {
+      m.set("adaptive_probes_attempted",
+            static_cast<double>(log.adaptive_probes_attempted));
+      m.set("adaptive_probes_published",
+            static_cast<double>(log.adaptive_probes_published));
+    }
+    if (spec_.storm.stormers > 0) {
+      m.set("storm_waves", static_cast<double>(storm_log.waves));
+      m.set("storm_join_requests", static_cast<double>(storm_log.join_requests));
+      m.set("storm_double_signal_publishes",
+            static_cast<double>(storm_log.double_signal_publishes));
+    }
 
-  // Membership-sync churn over the whole run: initial registrations plus
-  // whatever the storm (joins and the resulting slashes) added.
-  const waku::GroupSync::Stats& gs = world.group_sync().stats();
-  m.set("group_registrations", static_cast<double>(gs.registrations_applied));
-  m.set("group_slashes", static_cast<double>(gs.slashes_applied));
-  resource_.group_sync_bytes = static_cast<double>(gs.sync_bytes);
-  resource_.group_root_updates = static_cast<double>(gs.root_updates);
+    // Membership-sync churn over the whole run: initial registrations
+    // plus whatever the storm (joins and the resulting slashes) added.
+    const waku::GroupSync::Stats& gs = harness->group_sync().stats();
+    m.set("group_registrations", static_cast<double>(gs.registrations_applied));
+    m.set("group_slashes", static_cast<double>(gs.slashes_applied));
+    resource_.group_sync_bytes = static_cast<double>(gs.sync_bytes);
+    resource_.group_root_updates = static_cast<double>(gs.root_updates);
+  } else {
+    m.set("pow_difficulty_bits", static_cast<double>(spec_.pow_difficulty_bits));
+    m.set("pow_expected_hashes_per_msg",
+          baselines::expected_hashes(spec_.pow_difficulty_bits));
+  }
 
   fill_network_metrics(m, spec_, world.network().stats());
   fill_anonymity_metrics(m, spec_, log, spy);
 
   // Resource metrics (all deterministic): zkSNARK verification work and
   // saved repeats, payload-buffer allocations, router byte classes.
-  m.set("verifications_total", static_cast<double>(stats.proof_verifications));
-  m.set("verifications_saved", static_cast<double>(stats.proof_cache_hits));
+  if (harness) {
+    m.set("verifications_total", static_cast<double>(stats.proof_verifications));
+    m.set("verifications_saved", static_cast<double>(stats.proof_cache_hits));
+  }
   if (replay.enabled()) {
     m.set("replay_ids_recorded", static_cast<double>(replay.ids_recorded()));
     m.set("replay_ihaves_sent", static_cast<double>(replay.ihaves_sent()));
@@ -1135,237 +1186,6 @@ MetricSet ScenarioRunner::run_rln() {
   m.set("payload_alloc_bytes",
         static_cast<double>(util::SharedBytes::allocated_bytes() - payload_bytes0));
   m.set("sim_seconds", static_cast<double>(world.scheduler().now()) /
-                           static_cast<double>(sim::kUsPerSecond));
-  return m;
-}
-
-MetricSet ScenarioRunner::run_pow() {
-  util::Rng rng(seed_);
-  sim::Scheduler sched(spec_.world_threads, spec_.nodes);
-  sim::Network net(sched, rng, spec_.link);
-
-  gossipsub::GossipSubParams gossip;
-  if (spec_.seen_ttl_seconds > 0) {
-    gossip.seen_ttl = spec_.seen_ttl_seconds * sim::kUsPerSecond;
-  }
-  // Shared router state for the PoW world too: one parameter block and
-  // one interned topic table for all nodes.
-  const auto gossip_shared =
-      std::make_shared<const gossipsub::GossipSubParams>(gossip);
-  const auto topic_table = std::make_shared<gossipsub::TopicTable>();
-  std::vector<sim::NodeId> ids;
-  std::vector<std::unique_ptr<waku::WakuRelay>> relays;
-  ids.reserve(spec_.nodes);
-  relays.reserve(spec_.nodes);
-  for (std::size_t i = 0; i < spec_.nodes; ++i) {
-    ids.push_back(net.add_node({}));
-    relays.push_back(std::make_unique<waku::WakuRelay>(ids.back(), net,
-                                                       gossip_shared, topic_table));
-  }
-  sim::DegreeBias bias;
-  if (spec_.observer.placement == ObserverPlacement::kSybilHighDegree) {
-    for (std::size_t o = first_observer(spec_); o < spec_.nodes; ++o) {
-      bias.nodes.push_back(ids[o]);
-    }
-    bias.extra_links = spec_.observer.sybil_extra_links;
-  }
-  sim::build_topology(net, ids, spec_.topology, spec_.extra_links_per_node,
-                      spec_.erdos_renyi_p, rng, bias);
-  if (spec_.link_profile == sim::LinkProfile::kGeo) {
-    sim::apply_geo_latency(net, ids, spec_.link);
-  }
-  apply_observer_placement(spec_, net);
-  for (auto& r : relays) r->start();
-
-  obs::Registry reg(spec_.observability);
-  std::optional<obs::Tracer> tracer;
-  if (spec_.trace) tracer.emplace(spec_.trace_capacity);
-  obs::Tracer* const tr = tracer ? &*tracer : nullptr;
-  for (auto& r : relays) r->router().set_tracer(tr);
-  net.instrument(reg);
-
-  const std::uint64_t payload_allocs0 = util::SharedBytes::allocation_count();
-  const std::uint64_t payload_bytes0 = util::SharedBytes::allocated_bytes();
-
-  const std::vector<std::string> topics = topic_names(spec_);
-  const auto decode = [](const util::SharedBytes& data) -> std::optional<std::string> {
-    const auto env = baselines::PowEnvelope::deserialize(data);
-    if (!env) return std::nullopt;
-    return key_of(env->payload);
-  };
-
-  // Deliveries execute on the receiving node's shard lane, so — exactly
-  // like waku::SimHarness — each lane records into its own stamped log and
-  // the logs are merged into serial event order after the run.
-  std::vector<std::vector<std::pair<sim::Scheduler::Stamp, Delivered>>>
-      lane_deliveries(sched.lane_count());
-  std::vector<Delivered> deliveries;
-  for (std::size_t i = 0; i < spec_.nodes; ++i) {
-    for (const std::string& topic : topics) {
-      relays[i]->router().set_validator(
-          topic, baselines::make_pow_validator(spec_.pow_difficulty_bits));
-      relays[i]->subscribe(topic, [&lane_deliveries, &sched, &decode, tr, i](
-                                      const gossipsub::TopicId&,
-                                      const util::SharedBytes& data) {
-        const auto key = decode(data);
-        if (key) {
-          lane_deliveries[sched.current_lane()].emplace_back(
-              sched.current_stamp(), Delivered{i, *key, sched.now()});
-          if (tr != nullptr) {
-            tr->instant("deliver", sched.now(), static_cast<std::uint32_t>(i));
-          }
-        }
-      });
-    }
-  }
-
-  // The PoW world has no harness, so the pull probes are registered here
-  // (same fixed-order rule; no membership or nullifier state to report).
-  if (reg.enabled()) {
-    reg.probe("delivered_total", [&lane_deliveries] {
-      // Sampled from global events (shards quiesced); the count is a sum
-      // over the lane logs, so it is lane-partition invariant.
-      std::size_t total = 0;
-      for (const auto& lane : lane_deliveries) total += lane.size();
-      return static_cast<double>(total);
-    });
-    reg.probe("scheduler_queue",
-              [&sched] { return static_cast<double>(sched.pending()); });
-    reg.probe("scheduler_queue_peak", [&sched] {
-      return static_cast<double>(sched.stats().peak_pending);
-    });
-    reg.probe("mem_router_bytes", [&relays, topic_table] {
-      std::size_t total =
-          sizeof(gossipsub::GossipSubParams) + topic_table->memory_bytes();
-      for (const auto& r : relays) total += r->router().memory_bytes();
-      return static_cast<double>(total);
-    });
-    reg.probe("mem_mcache_bytes", [&relays] {
-      std::size_t total = 0;
-      for (const auto& r : relays) total += r->router().mcache().memory_bytes();
-      return static_cast<double>(total);
-    });
-    reg.probe("mem_event_pool_bytes",
-              [&sched] { return static_cast<double>(sched.memory_bytes()); });
-    reg.probe("mem_network_bytes",
-              [&net] { return static_cast<double>(net.memory_bytes()); });
-    reg.probe("net_frames_sent", [&net] {
-      return static_cast<double>(net.stats().frames_sent);
-    });
-    reg.probe("net_bytes_sent",
-              [&net] { return static_cast<double>(net.stats().bytes_sent); });
-  }
-  TrafficLog log;
-  register_workload_probes(reg, log);
-  sched.run_for(5 * sim::kUsPerSecond);  // mesh warm-up
-
-  FirstSpyObserver spy(spec_, sched, decode);
-  install_frame_tap(net, spy, /*replay=*/nullptr);
-
-  // Under PoW everyone — honest phone or spam rig — pays the same hash
-  // price and there is no rate to enforce: the spam path is just publish.
-  const PublishFn publish = [&](std::size_t node, std::size_t topic,
-                                const std::string& key) {
-    const auto env =
-        baselines::pow_seal(padded_payload(spec_, key), spec_.pow_difficulty_bits);
-    relays[node]->publish(topics[topic], env.serialize());
-    if (tr != nullptr) {
-      tr->instant("publish", sched.now(), static_cast<std::uint32_t>(node), key);
-    }
-    return true;
-  };
-
-  // Per-epoch memory sampling (always on — the peaks land in the
-  // resources block) and, with observability enabled, the time series.
-  constexpr std::uint64_t kPowDrainSeconds = 10;
-  MemoryPeaks mem_peaks;
-  {
-    const std::uint64_t now_s = sched.now() / sim::kUsPerSecond;
-    const std::uint64_t horizon_s =
-        now_s + (spec_.traffic_epochs + 2) * spec_.epoch_seconds + kPowDrainSeconds;
-    for (std::uint64_t t = now_s + 1; t <= horizon_s; t += spec_.epoch_seconds) {
-      sched.schedule_at(t * sim::kUsPerSecond,
-                        [&relays, &sched, &net, &mem_peaks, topic_table] {
-        std::size_t routers =
-            sizeof(gossipsub::GossipSubParams) + topic_table->memory_bytes();
-        std::size_t mcaches = 0;
-        for (const auto& r : relays) {
-          routers += r->router().memory_bytes();
-          mcaches += r->router().mcache().memory_bytes();
-        }
-        mem_peaks.router = std::max(mem_peaks.router, routers);
-        mem_peaks.mcache = std::max(mem_peaks.mcache, mcaches);
-        mem_peaks.event_pool = std::max(mem_peaks.event_pool, sched.memory_bytes());
-        mem_peaks.network = std::max(mem_peaks.network, net.memory_bytes());
-      });
-    }
-  }
-  sim::TimerHandle sample_timer;
-  if (reg.enabled()) {
-    const sim::TimeUs period = spec_.epoch_seconds * sim::kUsPerSecond;
-    sample_timer = sched.schedule_periodic(
-        traffic_start_us(spec_, sched) - sched.now(), period, [this, &reg, &sched] {
-          series_.sample(reg, static_cast<double>(sched.now()) /
-                                  static_cast<double>(sim::kUsPerSecond));
-        });
-  }
-
-  SteadyProbe probe;
-  arm_steady_probe(sched, spec_.epoch_seconds, probe);
-
-  drive_traffic(spec_, seed_, sched, net, publish, publish, kPowDrainSeconds, log);
-
-  capture_scheduler_stats(sched, probe, resource_);
-  fill_memory_resources(mem_peaks, resource_);
-  if (tracer) trace_json_ = tracer->json();
-
-  // Merge the per-lane delivery logs into the order the serial engine
-  // would have produced.
-  {
-    std::vector<std::pair<sim::Scheduler::Stamp, Delivered>> stamped;
-    std::size_t total = 0;
-    for (const auto& lane : lane_deliveries) total += lane.size();
-    stamped.reserve(total);
-    for (auto& lane : lane_deliveries) {
-      for (auto& entry : lane) stamped.push_back(std::move(entry));
-      lane.clear();
-    }
-    std::stable_sort(
-        stamped.begin(), stamped.end(),
-        [](const auto& a, const auto& b) { return a.first < b.first; });
-    deliveries.reserve(stamped.size());
-    for (auto& entry : stamped) deliveries.push_back(std::move(entry.second));
-  }
-
-  MetricSet m;
-  m.set("nodes", static_cast<double>(spec_.nodes));
-  fill_delivery_metrics(m, spec_, log, deliveries);
-  fill_over_rate_metrics(m, spec_, log, [](std::size_t) { return false; });
-  m.set("pow_difficulty_bits", static_cast<double>(spec_.pow_difficulty_bits));
-  m.set("pow_expected_hashes_per_msg",
-        baselines::expected_hashes(spec_.pow_difficulty_bits));
-  fill_network_metrics(m, spec_, net.stats());
-  fill_anonymity_metrics(m, spec_, log, spy);
-
-  std::uint64_t payload_wire = 0;
-  std::uint64_t control_wire = 0;
-  for (const auto& r : relays) {
-    const auto& rs = r->router().stats();
-    payload_wire += rs.payload_bytes_sent;
-    control_wire += rs.control_bytes_sent;
-  }
-  m.set("payload_bytes_total", static_cast<double>(payload_wire));
-  m.set("control_bytes_total", static_cast<double>(control_wire));
-  m.set("control_overhead_ratio",
-        payload_wire + control_wire == 0
-            ? 0
-            : static_cast<double>(control_wire) /
-                  static_cast<double>(payload_wire + control_wire));
-  m.set("payload_allocs",
-        static_cast<double>(util::SharedBytes::allocation_count() - payload_allocs0));
-  m.set("payload_alloc_bytes",
-        static_cast<double>(util::SharedBytes::allocated_bytes() - payload_bytes0));
-  m.set("sim_seconds", static_cast<double>(sched.now()) /
                            static_cast<double>(sim::kUsPerSecond));
   return m;
 }

@@ -1,16 +1,16 @@
 #pragma once
 // Executes one scenario: builds the simulated world a ScenarioSpec
-// describes (WAKU-RLN-RELAY via waku::SimHarness, or the PoW-baseline
-// relay stack), drives the honest workload, the adversaries (steady and
-// burst spammers, adaptive at-the-rate spammers and their over-rate
-// probes, registration-storm waves, IWANT replayers), churn and
-// partitions on the discrete-event clock — across one or many content
-// topics — and distils the run into a MetricSet: delivery ratio
-// (aggregate and per topic), propagation-latency percentiles, per-node
-// traffic, spam containment and slashing coverage, nullifier-map
-// footprint, membership-sync churn, and the coalition-first-spy
-// adversary's view of originator anonymity under the configured
-// observer placement.
+// describes (WAKU-RLN-RELAY via waku::SimHarness, or the PoW baseline on
+// a bare waku::RelayWorld — one world builder), drives the honest
+// workload, the adversaries (steady and burst spammers, adaptive
+// at-the-rate spammers and their over-rate probes, registration-storm
+// waves, IWANT replayers), churn and partitions on the discrete-event
+// clock — across one or many content topics — and distils the run into
+// a MetricSet: delivery ratio (aggregate and per topic),
+// propagation-latency percentiles, per-node traffic, spam containment
+// and slashing coverage, nullifier-map footprint, membership-sync churn,
+// and the coalition-first-spy adversary's view of originator anonymity
+// under the configured observer placement.
 //
 // A run is a pure function of (spec, seed): all randomness flows from
 // explicitly seeded Rng streams and the deterministic scheduler, so two
@@ -106,8 +106,8 @@ class ScenarioRunner {
   std::uint64_t seed() const { return seed_; }
 
  private:
-  MetricSet run_rln();
-  MetricSet run_pow();
+  /// Builds the spec's world (RLN or PoW, one builder) and runs it.
+  MetricSet run_world();
 
   ScenarioSpec spec_;
   std::uint64_t seed_;

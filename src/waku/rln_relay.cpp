@@ -110,10 +110,6 @@ WakuRlnRelay::WakuRlnRelay(WakuRelay& relay, eth::Chain& chain,
   // The current root is r_{floor}; everything older predates this relay
   // and was never in its acceptance window.
   root_floor_ = sync_->current_root_index();
-  if (config_.batch_crypto) {
-    batch_verifier_ =
-        std::make_unique<zksnark::BatchVerifier>(config_.batch_verify_watermark);
-  }
   // The sync's own subscription predates this one, so membership updates
   // are applied to the tree before any relay reads the new root.
   chain_.subscribe_events(
@@ -238,10 +234,8 @@ bool WakuRlnRelay::verify_proof_cached(const gossipsub::MessageId& id, bool proo
   ++stats_.proof_verifications;
   if (tracer_ != nullptr) {
     tracer_->begin("verify", now_us(), trace_track_, obs::short_id(id));
+    tracer_->end(now_us(), trace_track_);
   }
-  // Batched mode counts the proof into the modeled amortisation queue.
-  if (batch_verifier_) batch_verifier_->enqueue();
-  if (tracer_ != nullptr) tracer_->end(now_us(), trace_track_);
   if (cache) {
     if (proof_cache_order_.size() >= config_.proof_cache_entries) {
       proof_cache_.erase(proof_cache_order_.front());
@@ -376,10 +370,6 @@ void WakuRlnRelay::schedule_nullifier_gc() {
         const std::uint64_t epoch = current_epoch();
         if (epoch > keep_epochs_) {
           nullifier_map_.prune_before(epoch - keep_epochs_);
-        }
-        // Epoch boundary: drain whatever the watermark left queued.
-        if (batch_verifier_) {
-          batch_verifier_->drain(zksnark::BatchVerifier::DrainReason::kEpochBoundary);
         }
       });
 }

@@ -45,7 +45,6 @@
 #include "rln/prover.h"
 #include "waku/group_sync.h"
 #include "waku/relay.h"
-#include "zksnark/batch_verifier.h"
 
 namespace wakurln::obs {
 class Tracer;
@@ -159,15 +158,11 @@ struct WakuRlnConfig {
   /// after seen-cache expiry) reuses its zkSNARK verdict.
   std::size_t proof_cache_entries = 4096;
   /// Batched crypto hot path: registrations flush through the Merkle
-  /// batch append at block seals, proofs verify through the
-  /// allocation-free PreparedVerifier, and a modeled batch-verification
-  /// queue amortises pairing cost. Verdicts stay synchronous and every
-  /// deterministic report byte is identical either way (pinned by
-  /// tests/report_pins_test.cpp); off = the scalar reference paths.
+  /// batch append at block seals and proofs verify through the
+  /// allocation-free PreparedVerifier. Every deterministic report byte is
+  /// identical either way (pinned by tests/report_pins_test.cpp); off =
+  /// the scalar reference paths.
   bool batch_crypto = true;
-  /// Queue size at which the modeled batch verifier auto-drains (it also
-  /// drains every epoch). Only meaningful with batch_crypto.
-  std::size_t batch_verify_watermark = 64;
 };
 
 class WakuRlnRelay {
@@ -245,11 +240,6 @@ class WakuRlnRelay {
   const std::shared_ptr<const RlnValidatorContext>& validator_context() const {
     return ctx_;
   }
-  /// The modeled batch-verification queue (nullptr when batch_crypto is
-  /// off). Its stats are deterministic but not part of scenario reports.
-  const zksnark::BatchVerifier* batch_verifier() const {
-    return batch_verifier_.get();
-  }
 
   /// Attaches the message-lifecycle tracer (nullptr detaches). `track` is
   /// the trace track (= node index) this relay's publish / verify /
@@ -304,8 +294,6 @@ class WakuRlnRelay {
   /// Built from the shared CRS on first publish: pure relays (the vast
   /// majority of a large world) never pay for a prover.
   std::unique_ptr<rln::RlnProver> prover_;
-  /// Modeled amortised-verification queue (batch_crypto only).
-  std::unique_ptr<zksnark::BatchVerifier> batch_verifier_;
 
   std::optional<std::uint64_t> own_index_;
   std::uint64_t publish_epoch_ = 0;       ///< epoch the counter refers to

@@ -95,5 +95,43 @@ TEST(HarnessTest, BlocksAreMinedOnSchedule) {
   EXPECT_GE(world.chain().height(), 4u);
 }
 
+// The protocol-free relay world on its own, as the PoW baseline uses it:
+// relays, overlay and the stamp-ordered delivery log, with no chain behind
+// them. Returns the delivery trace after one message from node 2.
+std::vector<std::tuple<std::size_t, Bytes, sim::TimeUs>> run_bare_world(
+    unsigned world_threads) {
+  WorldConfig cfg;
+  cfg.node_count = 12;
+  cfg.world_threads = world_threads;
+  cfg.seed = 5;
+  RelayWorld world(cfg);
+  for (std::size_t i = 0; i < cfg.node_count; ++i) world.add_relay();
+  world.wire();
+  world.start();
+  for (std::size_t i = 0; i < world.size(); ++i) {
+    world.relay(i).subscribe("bare", [&world, i](const gossipsub::TopicId&,
+                                                 const util::SharedBytes& payload) {
+      world.record_delivery(i, payload);
+    });
+  }
+  world.run_seconds(3);
+  const Bytes payload = util::to_bytes("bare message");
+  world.relay(2).publish("bare", payload);
+  world.run_seconds(5);
+  EXPECT_EQ(world.nodes_delivered(payload), world.size());
+  std::vector<std::tuple<std::size_t, Bytes, sim::TimeUs>> trace;
+  for (const auto& d : world.deliveries()) {
+    trace.emplace_back(d.node_index, d.payload.to_vector(), d.at);
+  }
+  return trace;
+}
+
+TEST(RelayWorldTest, BareWorldDeliversInTheSameOrderAtAnyShardCount) {
+  const auto serial = run_bare_world(1);
+  ASSERT_EQ(serial.size(), 12u);
+  EXPECT_EQ(serial, run_bare_world(2));
+  EXPECT_EQ(serial, run_bare_world(4));
+}
+
 }  // namespace
 }  // namespace wakurln::waku

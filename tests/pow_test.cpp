@@ -37,6 +37,20 @@ TEST(PowEnvelopeTest, DeserializeRejectsTooShort) {
   EXPECT_FALSE(PowEnvelope::deserialize(tiny).has_value());
 }
 
+TEST(PowEnvelopeTest, PayloadViewMatchesDeserializeWithoutCopying) {
+  PowEnvelope env;
+  env.nonce = 7;
+  env.payload = util::to_bytes("payload");
+  const util::SharedBytes wire(env.serialize());
+  const auto view = PowEnvelope::payload_view(wire);
+  ASSERT_TRUE(view.has_value());
+  EXPECT_EQ(*view, PowEnvelope::deserialize(wire)->payload);
+  EXPECT_EQ(view->data(), wire.data() + 8);  // a sub-view, not a copy
+  // An empty payload is still an envelope; fewer than 8 bytes is not.
+  EXPECT_TRUE(PowEnvelope::payload_view(util::SharedBytes(util::Bytes(8, 0)))->empty());
+  EXPECT_FALSE(PowEnvelope::payload_view(util::SharedBytes(util::Bytes(7, 0))));
+}
+
 TEST(PowSealTest, SealedEnvelopeVerifies) {
   const auto env = pow_seal(util::to_bytes("message"), 10);
   EXPECT_TRUE(pow_verify(env, 10));

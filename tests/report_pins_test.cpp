@@ -55,29 +55,37 @@ constexpr ReportPin kPins[] = {
     {"pow_baseline", 0xdfefb393ed3913c8ULL},
 };
 
-std::uint64_t pinned_fingerprint(const ReportPin& pin, bool batch_crypto) {
+// Runs a catalogue scenario at the shrink config the pins were captured
+// at: 12 nodes, 3 traffic epochs, seeds {1, 2}, one campaign thread.
+CampaignResult pinned_campaign(const char* name, bool batch_crypto,
+                               bool observe = false) {
   ScenarioSpec spec;
   bool found = false;
   for (const ScenarioSpec& s : registered_scenarios()) {
-    if (s.name == pin.name) {
+    if (s.name == name) {
       spec = s;
       found = true;
       break;
     }
   }
-  EXPECT_TRUE(found) << "scenario " << pin.name << " missing from catalogue";
-  if (!found) return 0;
+  EXPECT_TRUE(found) << "scenario " << name << " missing from catalogue";
+  if (!found) return {};
 
   spec.nodes = 12;
   spec.traffic_epochs = 3;
   spec.batch_crypto = batch_crypto;
+  spec.observability = observe;
+  spec.trace = observe;
   CampaignConfig cfg;
   cfg.seeds = 2;
   cfg.seed0 = 1;
   cfg.threads = 1;
-  const CampaignResult result = run_campaign(spec, cfg);
-  const std::string report = pin::redact_memory_model(report_json(result));
-  return pin::fnv1a(report);
+  return run_campaign(spec, cfg);
+}
+
+std::uint64_t pinned_fingerprint(const ReportPin& pin, bool batch_crypto) {
+  return pin::fnv1a(
+      pin::redact_memory_model(report_json(pinned_campaign(pin.name, batch_crypto))));
 }
 
 class ReportPinTest : public ::testing::TestWithParam<ReportPin> {};
@@ -90,9 +98,9 @@ TEST_P(ReportPinTest, DeterministicReportIsByteIdentical) {
 }
 
 // The scalar reference paths (batch_crypto off) must hit the very same
-// captured fingerprints: the batched hot path — Merkle block appends,
-// prepared verification, modeled amortisation queue — changes no
-// deterministic report byte in either direction.
+// captured fingerprints: the batched hot path — Merkle block appends and
+// prepared verification — changes no deterministic report byte in
+// either direction.
 class ScalarCryptoPinTest : public ::testing::TestWithParam<ReportPin> {};
 
 TEST_P(ScalarCryptoPinTest, ScalarReferenceMatchesBatchedCapture) {
@@ -101,6 +109,42 @@ TEST_P(ScalarCryptoPinTest, ScalarReferenceMatchesBatchedCapture) {
       << "scalar-crypto report for " << pin.name
       << " diverged from the batched capture";
 }
+
+// Observability artifacts, which the report pins above do not cover: the
+// per-epoch time series (its probe column order included) and the seed-0
+// trace (publish / forward / verify / deliver instants), with the
+// registry and tracer on. One RLN and one PoW world, both crypto modes.
+struct ObsPin {
+  const char* name;
+  std::uint64_t timeseries;
+  std::uint64_t trace;
+};
+
+// Captured at the same shrink config, before the PoW world moved onto the
+// shared relay-world builder.
+constexpr ObsPin kObsPins[] = {
+    {"baseline_relay", 0x97142f492c08bb6dULL, 0xa4fc367a88eb6c90ULL},
+    {"pow_baseline", 0x5b886604a0b08839ULL, 0xeb13de185b39ed34ULL},
+};
+
+class ObsPinTest : public ::testing::TestWithParam<ObsPin> {};
+
+TEST_P(ObsPinTest, TimeSeriesAndTraceAreByteIdentical) {
+  const ObsPin& pin = GetParam();
+  for (const bool batch_crypto : {true, false}) {
+    const CampaignResult result = pinned_campaign(pin.name, batch_crypto, true);
+    EXPECT_EQ(pin::fnv1a(timeseries_json(result)), pin.timeseries)
+        << "time series of " << pin.name << " drifted (batch_crypto=" << batch_crypto
+        << ")";
+    EXPECT_EQ(pin::fnv1a(result.trace_json), pin.trace)
+        << "trace of " << pin.name << " drifted (batch_crypto=" << batch_crypto << ")";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Catalogue, ObsPinTest, ::testing::ValuesIn(kObsPins),
+                         [](const ::testing::TestParamInfo<ObsPin>& info) {
+                           return std::string(info.param.name);
+                         });
 
 INSTANTIATE_TEST_SUITE_P(Catalogue, ReportPinTest, ::testing::ValuesIn(kPins),
                          [](const ::testing::TestParamInfo<ReportPin>& info) {

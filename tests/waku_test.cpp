@@ -631,63 +631,6 @@ TEST(WakuRlnRelayTest, BatchCryptoOffIsObservationallyIdentical) {
     EXPECT_EQ(a.nodes[i]->group().root(), b.nodes[i]->group().root());
     EXPECT_EQ(a.nodes[i]->group().member_count(), b.nodes[i]->group().member_count());
   }
-  // Mode introspection: the queue exists only in batched mode, and it
-  // saw exactly the verifications the relay performed.
-  for (std::size_t i = 0; i < a.nodes.size(); ++i) {
-    ASSERT_NE(a.nodes[i]->batch_verifier(), nullptr);
-    EXPECT_EQ(b.nodes[i]->batch_verifier(), nullptr);
-    EXPECT_EQ(a.nodes[i]->batch_verifier()->stats().enqueued,
-              a.nodes[i]->stats().proof_verifications);
-  }
-}
-
-TEST(WakuRlnRelayTest, BatchVerifierWatermarkDrainsMidEpoch) {
-  WakuRlnConfig cfg = TestNet::rln_config();
-  cfg.batch_verify_watermark = 2;
-  TestNet tn(5, cfg);
-  tn.subscribe_all("t");
-  tn.register_all();
-  tn.run_seconds(5);
-  // Three different members publish inside one epoch: a pure relay
-  // verifies all three, so its queue crosses the watermark once and
-  // keeps one proof pending.
-  tn.nodes[0]->publish("t", util::to_bytes("w0"));
-  tn.nodes[1]->publish("t", util::to_bytes("w1"));
-  tn.nodes[2]->publish("t", util::to_bytes("w2"));
-  tn.run_seconds(4);  // deliver within the current epoch
-  const zksnark::BatchVerifier* bv = tn.nodes[4]->batch_verifier();
-  ASSERT_NE(bv, nullptr);
-  EXPECT_EQ(bv->stats().enqueued, 3u);
-  EXPECT_EQ(bv->stats().watermark_drains, 1u);
-  EXPECT_EQ(bv->stats().largest_batch, 2u);
-  EXPECT_EQ(bv->pending(), 1u);
-  // The epoch boundary drains the in-flight remainder.
-  tn.run_seconds(cfg.epoch_period_seconds + 1);
-  EXPECT_EQ(bv->pending(), 0u);
-  EXPECT_GE(bv->stats().epoch_drains, 1u);
-  EXPECT_GT(bv->modeled_speedup(), 1.0);
-}
-
-TEST(WakuRlnRelayTest, BatchVerifierEpochDrainHandlesQuietEpochs) {
-  // With a high watermark nothing auto-drains; the per-epoch timer must
-  // still empty the queue, and epochs with no traffic must not record
-  // empty drains.
-  WakuRlnConfig cfg = TestNet::rln_config();
-  cfg.batch_verify_watermark = 1000;
-  TestNet tn(4, cfg);
-  tn.subscribe_all("t");
-  tn.register_all();
-  tn.run_seconds(5);
-  tn.nodes[0]->publish("t", util::to_bytes("one"));
-  tn.run_seconds(3 * cfg.epoch_period_seconds);
-  const zksnark::BatchVerifier* bv = tn.nodes[3]->batch_verifier();
-  ASSERT_NE(bv, nullptr);
-  EXPECT_EQ(bv->stats().enqueued, 1u);
-  EXPECT_EQ(bv->pending(), 0u);
-  EXPECT_EQ(bv->stats().watermark_drains, 0u);
-  // Exactly one real drain: quiet epochs are no-ops.
-  EXPECT_EQ(bv->stats().drains, 1u);
-  EXPECT_EQ(bv->stats().epoch_drains, 1u);
 }
 
 TEST(WakuRlnRelayTest, SharedGroupSyncMatchesPrivateViews) {

@@ -58,8 +58,8 @@ SCAN_GLOBS = [
     "src/waku/harness.h",
     "src/waku/harness.cpp",
     # The batched crypto hot path: field kernels, batch Poseidon, batch
-    # Merkle appends and the modeled verification queue all sit upstream
-    # of root/nullifier/verdict bytes in the report, and the batch paths
+    # Merkle appends and prepared verification all sit upstream of
+    # root/nullifier/verdict bytes in the report, and the batch paths
     # promise bit-identity with the scalar reference.
     "src/field/*.h",
     "src/field/*.cpp",
